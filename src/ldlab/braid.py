@@ -235,10 +235,6 @@ def from_word(w: BraidWord) -> Braid:
     return out
 
 
-def normal_form(w: BraidWord) -> Braid:
-    return from_word(w)
-
-
 def to_word(b: Braid) -> BraidWord:
     letters = []
     dw = delta_word(b.n)

@@ -129,14 +129,6 @@ def _flat(m: int, tup: tuple) -> int:
     return idx
 
 
-def _unflat(m: int, k: int, idx: int) -> tuple:
-    out = []
-    for _ in range(k):
-        out.append(idx % m + 1)
-        idx //= m
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True)
 class Cochain:
     """Z-valued function on k-tuples, stored flat with x_1 the slowest index."""
@@ -287,7 +279,7 @@ def coboundary_preimage(M: FiniteMagma, f: Cochain) -> Optional[Cochain]:
     for j in range(dim_low):
         g = Cochain(M.m, low, tuple(1 if i == j else 0 for i in range(dim_low)))
         columns.append(coboundary_of(M, g).values)
-    coeffs = linalg.solve_columns(columns, f.values)
+    coeffs = linalg.lattice_solve(columns, f.values)
     if coeffs is None:
         return None
     return Cochain(M.m, low, tuple(coeffs))

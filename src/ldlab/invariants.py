@@ -13,6 +13,7 @@ sigma_i sigma_i^{-1} fixes every vector.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from . import braid, homology, laver
@@ -194,18 +195,8 @@ def count_closure_colourings(M: FiniteMagma, w, m: int) -> int:
     if not is_rack(M):
         raise DomainError("closure counting needs a rack")
     letters = _letters(w, m)
-    count = 0
-    vec = [1] * m
-    while True:
-        if tuple(vec) == act_full(M, vec, letters, checked=False):
-            count += 1
-        j = m - 1
-        while j >= 0 and vec[j] == M.m:
-            vec[j] = 1
-            j -= 1
-        if j < 0:
-            return count
-        vec[j] += 1
+    return sum(1 for vec in product(range(1, M.m + 1), repeat=m)
+               if vec == act_full(M, vec, letters, checked=False))
 
 
 def cocycle_invariant(M: FiniteMagma, phi, w, colours, checked: bool = True) -> int:
@@ -251,19 +242,9 @@ class QuandlePresentation:
 
     def colouring_count(self, M: FiniteMagma) -> int:
         """Assignments of carrier values to generators satisfying every relation."""
-        count = 0
-        values = [1] * self.m
-        while True:
-            if all(lhs.evaluate(M, values) == rhs.evaluate(M, values)
-                   for lhs, rhs in self.relations):
-                count += 1
-            j = self.m - 1
-            while j >= 0 and values[j] == M.m:
-                values[j] = 1
-                j -= 1
-            if j < 0:
-                return count
-            values[j] += 1
+        return sum(1 for values in product(range(1, M.m + 1), repeat=self.m)
+                   if all(lhs.evaluate(M, values) == rhs.evaluate(M, values)
+                          for lhs, rhs in self.relations))
 
 
 def _max_gen(term: QuandleTerm) -> int:

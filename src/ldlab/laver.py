@@ -18,11 +18,9 @@ strictly.  `LaverTable` stores just the prefix of each row up to its first
 """
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, ResourceError, guard_alloc
+from .magma import FiniteMagma, is_ld
 
 DEFAULT_MAX_N = 13
 
@@ -53,8 +51,6 @@ class GeneralTable:
         return [list(r) for r in self._rows]
 
     def as_magma(self):
-        from .magma import FiniteMagma
-
         return FiniteMagma(self.N, self._rows, label=f"table:{self.N}")
 
 
@@ -85,17 +81,7 @@ class LaverTable:
         _dense_guard(self.size, f"dense table for A_{self.n}")
         return [self.row(p) for p in range(1, self.size + 1)]
 
-    def dense_array(self) -> np.ndarray:
-        """0-based numpy copy: entry [p-1, q-1] is p*q - 1."""
-        _dense_guard(self.size, f"dense table for A_{self.n}")
-        out = np.empty((self.size, self.size), dtype=np.int32)
-        for p in range(1, self.size + 1):
-            out[p - 1] = np.array(self.row(p), dtype=np.int32) - 1
-        return out
-
     def as_magma(self):
-        from .magma import FiniteMagma
-
         _dense_guard(self.size, f"magma copy of A_{self.n}")
         return FiniteMagma(self.size, tuple(tuple(self.row(p)) for p in range(1, self.size + 1)),
                            label=f"A_{self.n}")
@@ -196,22 +182,7 @@ def left_powers(table, x: int, k: int) -> list:
     return seq
 
 
-def _ld_witness_array(T: np.ndarray) -> Optional[tuple]:
-    """First failure of p*(q*r) = (p*q)*(p*r) on a 0-based dense table, or None."""
-    lhs = T[:, T]
-    rhs = T[T[:, :, None], T[:, None, :]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad) == 0:
-        return None
-    p, q, r = (int(v) + 1 for v in bad[0])
-    return (p, q, r)
-
-
 def is_ld_for_size(N: int) -> tuple:
     """(True, None) when the size-N table is left self-distributive, else
-    (False, witness) with the first failing triple."""
-    table = build_general_table(N)
-    guard_alloc(8 * N ** 3, f"distributivity scan for size {N}")
-    T = np.array(table.dense(), dtype=np.int32) - 1
-    witness = _ld_witness_array(T)
-    return (witness is None, witness)
+    (False, witness) with the lexicographically first failing triple."""
+    return tuple(is_ld(build_general_table(N).as_magma()))

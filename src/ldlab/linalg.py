@@ -1,18 +1,45 @@
 """Exact integer linear algebra for small cocycle systems.
 
 Everything runs on Python ints, so there is no overflow and no floating
-point.  `kernel_basis` maintains a basis of a sublattice of Z^dim that
-satisfies all constraints seen so far: a new constraint is pushed through
-the current basis, the resulting weight vector is Euclidean-reduced to a
-single nonzero entry by unimodular row operations, and that row is dropped.
-The result is a saturated lattice (any integer solution of the constraint
-system is an integer combination of the returned rows), which is what makes
-reported ranks honest over Z rather than over Q.
+point.  One routine, `_reduce`, does all the elimination: it Euclidean-reduces
+a weight vector to a single nonzero entry by unimodular row operations,
+carrying the same operations through the rows of any tables it is given.
+`kernel_basis` maintains a basis of a sublattice of Z^dim that satisfies all
+constraints seen so far: a new constraint is pushed through the current
+basis, the resulting weights are reduced, and the one row left with a
+nonzero weight is dropped.  The result is a saturated lattice (any integer
+solution of the constraint system is an integer combination of the returned
+rows), which is what makes reported ranks honest over Z rather than over Q.
+`lattice_solve` reduces column by column to an integer echelon form.
 """
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
+
+
+def _reduce(weights: List[int], *tables: List[List[int]]) -> Optional[int]:
+    """Reduce `weights` in place to at most one nonzero entry; return its index or None.
+
+    Each pass pivots on the nonzero weight of smallest absolute value (first
+    index on ties) and subtracts floor-quotient multiples of it from the other
+    weights.  Row i of every table gets the same operations as weights[i], so
+    the row lattice of each table is unchanged.
+    """
+    while True:
+        nz = [i for i, w in enumerate(weights) if w]
+        if len(nz) <= 1:
+            return nz[0] if nz else None
+        piv = min(nz, key=lambda i: (abs(weights[i]), i))
+        wp = weights[piv]
+        for i in nz:
+            if i == piv:
+                continue
+            q = weights[i] // wp
+            if q:
+                weights[i] -= q * wp
+                for t in tables:
+                    t[i] = [a - q * b for a, b in zip(t[i], t[piv])]
 
 
 def _constraint_items(con, dim: int):
@@ -33,66 +60,15 @@ def kernel_basis(constraints: Iterable, dim: int) -> List[Tuple[int, ...]]:
     if dim < 0:
         raise DomainError(f"dimension must be >= 0, got {dim}")
     basis = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    weights: List[int] = []
     for con in constraints:
         items = _constraint_items(con, dim)
         if not items:
             continue
         weights = [sum(row[j] * c for j, c in items) for row in basis]
-        while True:
-            nz = [i for i, w in enumerate(weights) if w]
-            if not nz:
-                break
-            if len(nz) == 1:
-                del basis[nz[0]]
-                break
-            piv = min(nz, key=lambda i: (abs(weights[i]), i))
-            wp = weights[piv]
-            rp = basis[piv]
-            for i in nz:
-                if i == piv:
-                    continue
-                q = weights[i] // wp
-                if q:
-                    weights[i] -= q * wp
-                    ri = basis[i]
-                    for j in range(dim):
-                        ri[j] -= q * rp[j]
+        last = _reduce(weights, basis)
+        if last is not None:
+            del basis[last]
     return [tuple(row) for row in basis]
-
-
-def _echelonize(rows: List[List[int]], dim: int):
-    """In-place integer row echelon; returns [(row_index, pivot_col)].
-
-    Only unimodular operations (swap, add integer multiple), so the row
-    lattice is unchanged.
-    """
-    pivots = []
-    r = 0
-    for col in range(dim):
-        while True:
-            nz = [i for i in range(r, len(rows)) if rows[i][col]]
-            if len(nz) <= 1:
-                break
-            piv = min(nz, key=lambda i: (abs(rows[i][col]), i))
-            vp = rows[piv][col]
-            rp = rows[piv]
-            for i in nz:
-                if i == piv:
-                    continue
-                q = rows[i][col] // vp
-                if q:
-                    ri = rows[i]
-                    for j in range(dim):
-                        ri[j] -= q * rp[j]
-        nz = [i for i in range(r, len(rows)) if rows[i][col]]
-        if not nz:
-            continue
-        i0 = nz[0]
-        rows[r], rows[i0] = rows[i0], rows[r]
-        pivots.append((r, col))
-        r += 1
-    return pivots
 
 
 def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[List[int]]:
@@ -108,32 +84,15 @@ def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Optio
     if any(len(r) != dim for r in rows) or len(target) != dim:
         raise DomainError("row/target length mismatch")
     k = len(rows)
+    # track[i] holds rows[i] as a combination of the original rows
     track = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    # echelonize rows while tracking combinations of the original rows
     pivots = []
     r = 0
     for col in range(dim):
-        while True:
-            nz = [i for i in range(r, k) if rows[i][col]]
-            if len(nz) <= 1:
-                break
-            piv = min(nz, key=lambda i: (abs(rows[i][col]), i))
-            vp = rows[piv][col]
-            rp, tp = rows[piv], track[piv]
-            for i in nz:
-                if i == piv:
-                    continue
-                q = rows[i][col] // vp
-                if q:
-                    ri, ti = rows[i], track[i]
-                    for j in range(dim):
-                        ri[j] -= q * rp[j]
-                    for j in range(k):
-                        ti[j] -= q * tp[j]
-        nz = [i for i in range(r, k) if rows[i][col]]
-        if not nz:
+        # rows above r already hold pivots; zero weights keep them out
+        i0 = _reduce([0] * r + [rows[i][col] for i in range(r, k)], rows, track)
+        if i0 is None:
             continue
-        i0 = nz[0]
         rows[r], rows[i0] = rows[i0], rows[r]
         track[r], track[i0] = track[i0], track[r]
         pivots.append((r, col))
@@ -163,9 +122,3 @@ def lattices_equal(rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequence[in
     """Mutual membership of the two integer row spans."""
     return (all(lattice_contains(rows_a, v) for v in rows_b)
             and all(lattice_contains(rows_b, v) for v in rows_a))
-
-
-def solve_columns(columns: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[List[int]]:
-    """Integer x with sum(x_j * columns_j) = target: a matrix solve A x = t
-    where columns_j are the columns of A."""
-    return lattice_solve(columns, target)

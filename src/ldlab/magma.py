@@ -10,11 +10,9 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple, Optional
 
-import numpy as np
+from .errors import AmbiguousInverseError, DomainError, guard_alloc
 
-from .errors import AmbiguousInverseError, DomainError
-
-_NUMPY_CUTOFF = 24  # above this size the cubic law scans go through numpy
+_NUMPY_CUTOFF = 24  # from this size on, is_ld scans through numpy
 
 
 class LawCheck(NamedTuple):
@@ -49,19 +47,23 @@ class FiniteMagma:
     def elements(self) -> range:
         return range(1, self.m + 1)
 
-    def dense_array(self) -> np.ndarray:
-        """0-based numpy copy of the table."""
-        return np.array(self.op, dtype=np.int32) - 1
-
 
 def from_rows(rows, label: Optional[str] = None) -> FiniteMagma:
     return FiniteMagma(len(rows), tuple(tuple(r) for r in rows), label=label)
 
 
 def is_ld(M: FiniteMagma) -> LawCheck:
-    """Left self-distributivity x*(y*z) = (x*y)*(x*z)."""
+    """Left self-distributivity x*(y*z) = (x*y)*(x*z).
+
+    Both branches report the lexicographically first failing (x, y, z).
+    """
     if M.m >= _NUMPY_CUTOFF:
-        T = M.dense_array()
+        guard_alloc(8 * M.m ** 3, f"distributivity scan on {M.m} elements")
+        # imported here rather than at module level: nothing else needs numpy,
+        # and importing it is most of the command line's start-up time
+        import numpy as np
+
+        T = np.array(M.op, dtype=np.int32) - 1
         lhs = T[:, T]
         rhs = T[T[:, :, None], T[:, None, :]]
         bad = np.argwhere(lhs != rhs)

@@ -1,6 +1,9 @@
 """Exit codes, golden outputs, and format envelopes of the command line."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,8 @@ from ldlab.errors import DomainError
 LAVER_2_CSV = "2,4,2,4\n3,4,3,4\n4,4,4,4\n1,2,3,4"
 
 TREFOIL = "1 1 1"
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def run(capsys, argv):
@@ -235,6 +240,25 @@ def test_domain_errors_exit_one(capsys):
     code, _, err = run(capsys, ["color", "act", "--rack", "dihedral:3",
                                 "--colors", "1,a", "1"])
     assert code == 1 and "comma-separated" in err
+
+
+def test_law_scan_memory_cap_exits_one(capsys, monkeypatch):
+    # 25 elements take the numpy scan, whose m**3 arrays the cap must bound
+    monkeypatch.setenv("LDLAB_MAX_MEM", "100000")
+    code, out, err = run(capsys, ["color", "act", "--rack", "dihedral:25",
+                                  "--colors", "1,1", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "LDLAB_MAX_MEM" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the LD scan of 24 or more elements needs numpy, so start-up skips it
+    code = "import sys, ldlab.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -135,6 +135,15 @@ def test_ld_dichotomy():
             assert t.op(p, t.op(q, r)) != t.op(t.op(p, q), t.op(p, r))
 
 
+def test_ld_witnesses_pinned():
+    # the lexicographically first failing triple, on both sides of the size
+    # (24) from which the scan goes through numpy
+    expected = {10: (1, 2, 3), 12: (3, 1, 4), 22: (2, 1, 2), 30: (3, 1, 2),
+                48: (3, 4, 13), 60: (3, 1, 4)}
+    for N, witness in expected.items():
+        assert laver.is_ld_for_size(N) == (False, witness)
+
+
 def test_projection_homomorphism():
     for n in range(1, 6):
         big = laver.build_laver_table(n)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ldlab.errors import AmbiguousInverseError, DomainError
+from ldlab.errors import AmbiguousInverseError, DomainError, ResourceError
 from ldlab import laver, magma
 
 
@@ -44,9 +44,21 @@ def test_numpy_and_loop_paths_agree():
         finally:
             magma._NUMPY_CUTOFF = forced
         assert loop.ok == vec.ok
+        # laver.is_ld_for_size returns whichever branch runs, so both must
+        # report the same (lexicographically first) failing triple
+        assert vec.witness == loop.witness
         if not loop.ok:
             x, y, z = vec.witness
             assert M.mul(x, M.mul(y, z)) != M.mul(M.mul(x, y), M.mul(x, z))
+
+
+def test_numpy_scan_respects_memory_cap(monkeypatch):
+    # the numpy branch builds m**3 arrays; the loop branch allocates nothing
+    monkeypatch.setenv("LDLAB_MAX_MEM", "100000")
+    assert magma._NUMPY_CUTOFF == 24
+    with pytest.raises(ResourceError, match="LDLAB_MAX_MEM"):
+        magma.is_ld(magma.dihedral_quandle(24))
+    assert magma.is_ld(magma.dihedral_quandle(23))
 
 
 def test_laver_tables_are_not_racks():
