@@ -2,15 +2,25 @@
 
 Braids are kept in left-weighted normal form over permutation braids:
 ``Delta^inf . f_1 ... f_k`` with every ``f_j`` a non-trivial simple
-element distinct from Delta and every adjacent pair left-weighted.  All
-values are immutable; equality of dataclasses is equality of braids.
+element distinct from Delta and every adjacent pair left-weighted.  That
+form is unique, so two `Braid` values are equal exactly when they are the
+same braid.  The public constructor ``Braid(n, inf, factors)`` holds every
+value to it: each factor must be a permutation of 1..n other than 1 and
+Delta, and each adjacent pair must be left-weighted, or it raises
+DomainError.  The operations of this module build their results through
+the unchecked ``_nf``.  All values are immutable.
 
 Permutations are one-line tuples over 1..n.  ``perm_mul(p, q)`` composes
-"p then q", matching left-to-right reading of braid words.
+"p then q", matching left-to-right reading of braid words.  What the
+engine reads off a single permutation (inverse, Delta-conjugate, length,
+descent sets, complement, word) and the left-weighting of a pair are
+computed on first use and memoised, each memo up to a fixed number of
+entries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -19,14 +29,22 @@ from .errors import DomainError
 
 Perm = Tuple[int, ...]
 
+# The most entries any memo of this module keeps.  That holds every
+# permutation of up to 7 strands and every pair of non-trivial simples of
+# B_4 (22**2 of them); a full pair table for B_6 would need 720**2.
+_MEMO_SIZE = 1 << 13
+_memo = functools.lru_cache(maxsize=_MEMO_SIZE)
+
 
 # ---------------------------------------------------------------------------
 # permutation helpers
 
+@_memo
 def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
+@_memo
 def w0_perm(n: int) -> Perm:
     """Longest element: the permutation of the half-twist Delta_n."""
     return tuple(range(n, 0, -1))
@@ -37,6 +55,7 @@ def perm_mul(p: Perm, q: Perm) -> Perm:
     return tuple(q[v - 1] for v in p)
 
 
+@_memo
 def perm_inv(p: Perm) -> Perm:
     out = [0] * len(p)
     for pos, val in enumerate(p):
@@ -44,24 +63,34 @@ def perm_inv(p: Perm) -> Perm:
     return tuple(out)
 
 
+@_memo
 def tau_perm(p: Perm, n: int) -> Perm:
     """Conjugation by Delta: tau(p) = w0 p w0, i.e. sigma_i -> sigma_{n-i}."""
     return tuple(n + 1 - p[n - 1 - i] for i in range(n))
 
 
+@_memo
 def perm_len(p: Perm) -> int:
     """Inversion count: crossing number of the simple braid."""
     n = len(p)
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
+@_memo
 def left_descents(p: Perm) -> Tuple[int, ...]:
     """Indices i with sigma_i a left divisor of the simple braid of p."""
     return tuple(i for i in range(1, len(p)) if p[i - 1] > p[i])
 
 
+@_memo
 def right_descents(p: Perm) -> Tuple[int, ...]:
     return left_descents(perm_inv(p))
+
+
+@_memo
+def _complement(p: Perm) -> Perm:
+    """The simple c with p c = Delta: perm_inv(p) then w0."""
+    return perm_mul(perm_inv(p), w0_perm(len(p)))
 
 
 def _swap_values(p: Perm, i: int) -> Perm:
@@ -77,6 +106,18 @@ def _swap_entries(p: Perm, i: int) -> Perm:
     return tuple(q)
 
 
+@_memo
+def _simple_word(p: Perm) -> Tuple[int, ...]:
+    """A positive word for the simple braid of p, greedy on left descents."""
+    letters = []
+    while p != identity_perm(len(p)):
+        i = left_descents(p)[0]
+        letters.append(i)
+        p = _swap_entries(p, i)
+    return tuple(letters)
+
+
+@_memo
 def _left_weighted_fix(a: Perm, b: Perm) -> Tuple[Perm, Perm]:
     """Slide crossings from b into a until the pair (a, b) is left-weighted."""
     while True:
@@ -109,6 +150,9 @@ class Braid:
                 raise DomainError(f"not a permutation of 1..{self.n}: {f}")
             if f == idp or f == w0:
                 raise DomainError("normal-form factors exclude 1 and Delta")
+        for a, b in zip(self.factors, self.factors[1:]):
+            if not set(left_descents(b)) <= set(right_descents(a)):
+                raise DomainError(f"factors {a} and {b} are not left-weighted")
 
     @property
     def is_trivial(self) -> bool:
@@ -119,6 +163,16 @@ class Braid:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Braid(n={self.n}, word={list(to_word(self).letters)})"
+
+
+def _nf(n: int, inf: int, factors: Tuple[Perm, ...]) -> Braid:
+    """A Braid from factors already in normal form, without the checks."""
+    b = object.__new__(Braid)
+    _set = object.__setattr__
+    _set(b, "n", n)
+    _set(b, "inf", inf)
+    _set(b, "factors", factors)
+    return b
 
 
 @dataclass(frozen=True)
@@ -189,8 +243,8 @@ def sigma(n: int, i: int) -> Braid:
     if not 1 <= i <= n - 1:
         raise DomainError(f"sigma index {i} out of range for {n} strands")
     if n == 2:
-        return Braid(2, 1, ())
-    return Braid(n, 0, (_swap_entries(identity_perm(n), i),))
+        return _nf(2, 1, ())
+    return _nf(n, 0, (_swap_entries(identity_perm(n), i),))
 
 
 def delta(n: int, power: int = 1) -> Braid:
@@ -213,18 +267,30 @@ def mul(u: Braid, v: Braid) -> Braid:
     if v.inf % 2:
         uf = tuple(tau_perm(f, n) for f in uf)
     d, fs = _normalize(n, uf + v.factors)
-    return Braid(n, u.inf + v.inf + d, fs)
+    return _nf(n, u.inf + v.inf + d, fs)
 
 
 def inverse(u: Braid) -> Braid:
     n = u.n
-    w0 = w0_perm(n)
     out = identity(n)
     for f in reversed(u.factors):
-        comp = perm_mul(perm_inv(f), w0)
-        d, fs = _normalize(n, (tau_perm(comp, n),))
-        out = mul(out, Braid(n, -1 + d, fs))
-    return mul(out, Braid(n, -u.inf, ()))
+        d, fs = _normalize(n, (tau_perm(_complement(f), n),))
+        out = mul(out, _nf(n, -1 + d, fs))
+    return mul(out, _nf(n, -u.inf, ()))
+
+
+def _rev(b: Braid) -> Braid:
+    """The image of b under the anti-automorphism that reverses words.
+
+    A simple reverses to its inverse permutation and Delta to itself, so
+    rev(Delta^r f_1 ... f_k) = Delta^r tau^r(f_k^-1) ... tau^r(f_1^-1).
+    """
+    n = b.n
+    fs = tuple(perm_inv(f) for f in reversed(b.factors))
+    if b.inf % 2:
+        fs = tuple(tau_perm(f, n) for f in fs)
+    d, fs = _normalize(n, fs)
+    return _nf(n, b.inf + d, fs)
 
 
 def from_word(w: BraidWord) -> Braid:
@@ -243,11 +309,7 @@ def to_word(b: Braid) -> BraidWord:
     else:
         letters.extend(tuple(-l for l in reversed(dw)) * (-b.inf))
     for f in b.factors:
-        p = f
-        while p != identity_perm(b.n):
-            i = left_descents(p)[0]
-            letters.append(i)
-            p = _swap_entries(p, i)
+        letters.extend(_simple_word(f))
     return BraidWord(b.n, tuple(letters))
 
 
@@ -329,23 +391,26 @@ def left_gcd(a, b) -> Braid:
 
 
 def max_right_divisor_in_parabolic(b, k: int) -> Braid:
-    """Largest right-divisor using only sigma_1 .. sigma_{k-1}."""
+    """Largest right-divisor using only sigma_1 .. sigma_{k-1}.
+
+    The right divisors of b are the reversals of the left divisors of
+    _rev(b), and sigma_i left-divides a positive braid exactly when i is
+    in its left descent set.  So the divisor is peeled off the front of
+    _rev(b) one generator at a time, in a single pass.
+    """
     bb = _lift(b)
     _require_positive(bb, "argument")
-    if not 2 <= k <= bb.n:
-        raise DomainError(f"parabolic rank {k} out of range for {bb.n} strands")
     n = bb.n
-    div = identity(n)
+    if not 2 <= k <= n:
+        raise DomainError(f"parabolic rank {k} out of range for {n} strands")
+    r = _rev(bb)
+    letters = []
     while True:
-        found = None
-        for i in range(1, k):
-            if right_divides(sigma(n, i), bb):
-                found = i
-                break
-        if found is None:
-            return div
-        bb = mul(bb, inverse(sigma(n, found)))
-        div = mul(sigma(n, found), div)
+        i = next((i for i in _left_descent_set(r) if i < k), None)
+        if i is None:
+            return from_word(BraidWord(n, tuple(reversed(letters))))
+        letters.append(i)
+        r = mul(inverse(sigma(n, i)), r)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +422,7 @@ def flip(b, n: Optional[int] = None) -> Braid:
     if n is not None and n != bb.n:
         raise DomainError(f"flip ambient {n} does not match braid on {bb.n} strands")
     m = bb.n
-    return Braid(m, bb.inf, tuple(tau_perm(f, m) for f in bb.factors))
+    return _nf(m, bb.inf, tuple(tau_perm(f, m) for f in bb.factors))
 
 
 def _fraction_words(b: Braid) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -447,4 +512,4 @@ def all_simples(n: int) -> Iterator[Braid]:
     """All simple braids (divisors of Delta_n), the identity included."""
     for p in itertools.permutations(range(1, n + 1)):
         d, fs = _normalize(n, (p,))
-        yield Braid(n, d, fs)
+        yield _nf(n, d, fs)

@@ -11,11 +11,14 @@ for d.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
 
 from ldlab import braid as br
+from ldlab import games as g
+from ldlab import order as od
 from ldlab.errors import DomainError
 
 
@@ -359,3 +362,84 @@ def test_all_simples():
     assert len(list(br.all_simples(4))) == 24
     for s in simples3:
         assert len(s.factors) + abs(s.inf) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the checked constructor
+
+def test_constructor_rejects_unweighted_factors():
+    # (1,3,2) (2,1,3) spells sigma_2 sigma_1, whose normal form is one factor
+    with pytest.raises(DomainError):
+        br.Braid(3, 0, ((1, 3, 2), (2, 1, 3)))
+    assert br.to_word(b(3, 2, 1)).letters == (2, 1)
+    with pytest.raises(DomainError):
+        br.Braid(3, 0, ((1, 2, 3),))
+    with pytest.raises(DomainError):
+        br.Braid(3, 0, ((1, 1, 3),))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_constructor_accepts_every_normal_form(n):
+    for length in range(6):
+        for w in positive_words(n, length):
+            for x in (b(n, *w), br.inverse(b(n, *w))):
+                assert br.Braid(x.n, x.inf, x.factors) == x
+
+
+# ---------------------------------------------------------------------------
+# the reversal strip against the probing reference
+
+def _probing_max_parabolic(x, k):
+    """Reference: probe sigma_1 .. sigma_{k-1} with right_divides, strip the
+    first that divides, repeat."""
+    n = x.n
+    div = br.identity(n)
+    while True:
+        found = next((i for i in range(1, k)
+                      if br.right_divides(br.sigma(n, i), x)), None)
+        if found is None:
+            return div
+        x = br.mul(x, br.inverse(br.sigma(n, found)))
+        div = br.mul(br.sigma(n, found), div)
+
+
+@pytest.mark.parametrize("n,maxlen", [(3, 6), (4, 5)])
+def test_max_right_divisor_matches_probing_reference(n, maxlen):
+    for length in range(maxlen + 1):
+        for w in positive_words(n, length):
+            x = b(n, *w)
+            for k in range(2, n + 1):
+                got = br.max_right_divisor_in_parabolic(x, k)
+                assert got == _probing_max_parabolic(x, k), (w, k)
+
+
+def test_max_right_divisor_beyond_last_factor():
+    # sigma_3 right-divides 1 1 3 although the last factor's right descents
+    # are {1}: the strip has to see past the last factor
+    x = br.from_word(br.parse_word("1 1 3", 4))
+    assert x.factors[-1] == (2, 1, 3, 4)
+    assert br.right_descents(x.factors[-1]) == (1,)
+    assert br.right_divides(br.sigma(4, 3), x)
+    for k in (2, 3, 4):
+        got = br.max_right_divisor_in_parabolic(x, k)
+        assert got == _probing_max_parabolic(x, k)
+    assert br.max_right_divisor_in_parabolic(x, 3) == b(4, 1, 1)
+    assert br.max_right_divisor_in_parabolic(x, 4) == x
+
+
+# ---------------------------------------------------------------------------
+# value classes
+
+def test_values_are_immutable():
+    x = b(3, 1, 2)
+    values = [(x, "inf"), (od.OrdinalCNF(((1, 2),)), "terms"),
+              (g.G3State((1, 2)), "steps")]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert x == b(3, 1, 2) and hash(x) == hash(b(3, 1, 2))
+    assert g.G3State((1, 2)) == g.G3State((1, 2), t=1, steps=0)
+    assert od.OrdinalCNF() == od.ORDINAL_ZERO
