@@ -390,27 +390,35 @@ def left_gcd(a, b) -> Braid:
         bb = mul(s_inv, bb)
 
 
-def max_right_divisor_in_parabolic(b, k: int) -> Braid:
-    """Largest right-divisor using only sigma_1 .. sigma_{k-1}.
+def _strip_parabolic(b: Braid, k: int) -> Tuple[Tuple[int, ...], Braid]:
+    """(letters, b . d^-1) for d the largest right-divisor of a positive b
+    in sigma_1 .. sigma_{k-1}, spelt by letters.
 
     The right divisors of b are the reversals of the left divisors of
     _rev(b), and sigma_i left-divides a positive braid exactly when i is
-    in its left descent set.  So the divisor is peeled off the front of
-    _rev(b) one generator at a time, in a single pass.
+    in its left descent set.  So d is peeled off the front of _rev(b) one
+    generator at a time, in a single pass; what is left reverses to b . d^-1.
     """
+    n = b.n
+    r = _rev(b)
+    letters = []
+    while True:
+        i = next((i for i in _left_descent_set(r) if i < k), None)
+        if i is None:
+            return tuple(reversed(letters)), _rev(r)
+        letters.append(i)
+        r = mul(inverse(sigma(n, i)), r)
+
+
+def max_right_divisor_in_parabolic(b, k: int) -> Braid:
+    """Largest right-divisor using only sigma_1 .. sigma_{k-1}."""
     bb = _lift(b)
     _require_positive(bb, "argument")
     n = bb.n
     if not 2 <= k <= n:
         raise DomainError(f"parabolic rank {k} out of range for {n} strands")
-    r = _rev(bb)
-    letters = []
-    while True:
-        i = next((i for i in _left_descent_set(r) if i < k), None)
-        if i is None:
-            return from_word(BraidWord(n, tuple(reversed(letters))))
-        letters.append(i)
-        r = mul(inverse(sigma(n, i)), r)
+    letters, _ = _strip_parabolic(bb, k)
+    return from_word(BraidWord(n, letters))
 
 
 # ---------------------------------------------------------------------------

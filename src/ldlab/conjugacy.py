@@ -8,11 +8,12 @@ words are the two consumers of that enumeration.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import braid as br
 from .errors import DomainError, ResourceError
-from .order import compare_flipped
+from .order import flipped_key
 
 DEFAULT_CLASS_BOUND = 10 ** 6
 
@@ -50,16 +51,20 @@ class ConjClass:
     def __iter__(self) -> Iterator[br.Braid]:
         return iter(self.members)
 
+    @cached_property
+    def _witnesses(self) -> Dict[br.Braid, br.Braid]:
+        """Member -> conjugator; not a field, so equality ignores it."""
+        return dict(zip(self.members, self.conjugators))
+
     def __contains__(self, beta) -> bool:
-        return br._lift(beta) in set(self.members)
+        return br._lift(beta) in self._witnesses
 
     def witness(self, member) -> br.Braid:
         """A conjugator u with u^-1 . root . u = member."""
-        b = br._lift(member)
-        for m, u in zip(self.members, self.conjugators):
-            if m == b:
-                return u
-        raise DomainError("not a member of this class")
+        u = self._witnesses.get(br._lift(member))
+        if u is None:
+            raise DomainError("not a member of this class")
+        return u
 
 
 def positive_conjugates(beta, n: Optional[int] = None,
@@ -67,14 +72,14 @@ def positive_conjugates(beta, n: Optional[int] = None,
     """Close {beta} under conjugation by simple braids, keeping positives."""
     b = _lift_positive(beta, n)
     n = b.n
-    simples = [s for s in br.all_simples(n) if not s.is_trivial]
+    simples = [(br.inverse(s), s) for s in br.all_simples(n) if not s.is_trivial]
     found = {b: br.identity(n)}
     frontier = [b]
     while frontier:
         fresh = []
         for x in frontier:
-            for s in simples:
-                y = br.mul(br.mul(br.inverse(s), x), s)
+            for s_inv, s in simples:
+                y = br.mul(br.mul(s_inv, x), s)
                 if y.inf < 0 or y in found:
                     continue
                 found[y] = br.mul(found[x], s)
@@ -99,11 +104,7 @@ def mu(beta, n: Optional[int] = None,
     with the least ordinal rank.
     """
     cls = positive_conjugates(beta, n, max_members)
-    best = cls.members[0]
-    for m in cls.members[1:]:
-        if compare_flipped(m, best, cls.n) == "<":
-            best = m
-    return best
+    return min(cls.members, key=lambda m: flipped_key(m, cls.n))
 
 
 def is_conjugacy_min(beta, n: Optional[int] = None) -> bool:

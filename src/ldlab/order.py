@@ -1,10 +1,11 @@
 """Left-invariant braid orderings, splittings, and ordinal ranks.
 
-The flipped order on positive braids is computed through Phi_n-splittings
-(ShortLex on the split sequences, recursing on strand count); arbitrary
-braids are compared by making both sides positive with a central power of
-Delta_n^2 and flipping.  Ranks in (BP_3, <) are ordinals below omega^omega,
-kept in Cantor normal form.
+The flipped order on positive braids is ShortLex on Phi_n-splittings,
+recursing on strand count (Burckel, JPAA 120, 1997; Dehornoy, JPAA 212,
+2008), and `flipped_key` is that order as one sort key per braid.
+Arbitrary braids are compared by making both sides positive with a
+central power of Delta_n^2 and flipping.  Ranks in (BP_3, <) are
+ordinals below omega^omega, kept in Cantor normal form.
 """
 
 from __future__ import annotations
@@ -68,11 +69,6 @@ class SplittingSeq:
         return out
 
 
-def _restrict(b: br.Braid, m: int) -> br.Braid:
-    w = br.to_word(b)
-    return br.from_word(br.BraidWord(m, w.letters))
-
-
 def splitting(beta, n: int) -> SplittingSeq:
     """Strip maximal parabolic right-divisors, flipping the remainder."""
     if n < 3:
@@ -82,9 +78,8 @@ def splitting(beta, n: int) -> SplittingSeq:
         raise DomainError("splitting needs a positive braid")
     rev: List[br.Braid] = []
     while True:
-        div = br.max_right_divisor_in_parabolic(cur, n - 1)
-        rev.append(_restrict(div, n - 1))
-        cur = br.mul(cur, br.inverse(div))
+        letters, cur = br._strip_parabolic(cur, n - 1)
+        rev.append(br.from_word(br.BraidWord(n - 1, letters)))
         if cur.is_trivial:
             break
         cur = br.flip(cur)
@@ -93,8 +88,9 @@ def splitting(beta, n: int) -> SplittingSeq:
 
 def is_normal(seq: SplittingSeq) -> bool:
     """Whether the sequence is a genuine splitting: at every level above the
-    last, sigma_1 is the only generator right-dividing the recomposed suffix
-    (equivalently, each stripped divisor was maximal)."""
+    last, sigma_1 is the only generator right-dividing the recomposed suffix,
+    i.e. left-dividing its reversal (equivalently, each stripped divisor was
+    maximal)."""
     n = seq.n
     suffix = br.identity(n)
     p = seq.p
@@ -102,9 +98,7 @@ def is_normal(seq: SplittingSeq) -> bool:
         suffix = br.mul(br.flip(suffix), br.embed(seq.entries[p - r], n))
         if r == 1:
             break
-        divisors = {i for i in range(1, n)
-                    if br.right_divides(br.sigma(n, i), suffix)}
-        if divisors != {1}:
+        if br._left_descent_set(br._rev(suffix)) != (1,):
             return False
     return True
 
@@ -112,22 +106,28 @@ def is_normal(seq: SplittingSeq) -> bool:
 # ---------------------------------------------------------------------------
 # order comparisons
 
+def flipped_key(beta, n: int):
+    """Sort key of the flipped D-order on the positive braids of B_n.
+
+    The order is ShortLex on Phi_n-splittings, entries compared in the
+    flipped order of B_{n-1}, and length on B_2 (Burckel, "The
+    wellordering on positive braids", JPAA 120, 1997; Dehornoy,
+    "Alternating normal forms for braids and locally Garside monoids",
+    JPAA 212, 2008): so the key is (p, entry keys), and length at n = 2.
+    """
+    b = br._lift(beta)
+    if b.inf < 0:
+        raise DomainError("the flipped order needs positive braids")
+    if n == 2:
+        return br.braid_length(b)
+    seq = splitting(b, n)
+    return (seq.p, tuple(flipped_key(e, n - 1) for e in seq.entries))
+
+
 def compare_flipped(beta, beta2, n: int) -> str:
     """Compare positive braids in the flipped D-order; returns <, =, or >."""
-    bu, bv = br._lift(beta), br._lift(beta2)
-    if bu.inf < 0 or bv.inf < 0:
-        raise DomainError("compare_flipped needs positive braids")
-    if n == 2:
-        lu, lv = br.braid_length(bu), br.braid_length(bv)
-        return "<" if lu < lv else ">" if lu > lv else "="
-    su, sv = splitting(bu, n), splitting(bv, n)
-    if su.p != sv.p:
-        return "<" if su.p < sv.p else ">"
-    for eu, ev in zip(su.entries, sv.entries):
-        c = compare_flipped(eu, ev, n - 1)
-        if c != "=":
-            return c
-    return "="
+    ku, kv = flipped_key(beta, n), flipped_key(beta2, n)
+    return "<" if ku < kv else ">" if ku > kv else "="
 
 
 def compare_D(u: br.BraidWord, v: br.BraidWord, n: int) -> str:

@@ -292,9 +292,10 @@ def test_c8_printed_rank_rows():
 def test_c8_rank_order_matches_flipped_comparison():
     braids = [beta for _, beta in br.positive_braids_up_to(3, 7)]
     ranks = [order.rank_bp3(beta) for beta in braids]
+    keys = [order.flipped_key(beta, 3) for beta in braids]
     for i, j in combinations(range(len(braids)), 2):
-        by_rank = order.ordinal_cmp(ranks[i], ranks[j])
-        assert by_rank == order.compare_flipped(braids[i], braids[j], 3)
+        by_key = "<" if keys[i] < keys[j] else ">" if keys[i] > keys[j] else "="
+        assert order.ordinal_cmp(ranks[i], ranks[j]) == by_key
 
 
 # ----------------------------------------------------------- 9. G3 game

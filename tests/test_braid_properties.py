@@ -4,8 +4,9 @@ The independent oracle for equality is the Artin action of B_n on the
 free group F_n (through the free conjugation rack), which is faithful:
 two words give the same braid exactly when they act alike on the
 generators x_1 .. x_n.  The group laws and the word-reversing
-anti-automorphism are checked on the same words.  These tests need
-Hypothesis (the ``test`` extra); the module is skipped without it.
+anti-automorphism are checked on the same words, the parabolic strip on
+positive words.  These tests need Hypothesis (the ``test`` extra); the
+module is skipped without it.
 """
 
 import pytest
@@ -63,3 +64,21 @@ def test_reversal_is_an_involutive_anti_automorphism(case):
     assert br._rev(br._rev(u)) == u
     assert br._rev(br.mul(u, v)) == br.mul(br._rev(v), br._rev(u))
     assert br._rev(u) == b(n, *reversed(case[1]))
+
+
+def _strip_cases():
+    return st.integers(3, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(2, n),
+        st.lists(st.integers(1, n - 1), max_size=8).map(tuple)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_strip_cases())
+def test_parabolic_strip_splits_off_the_largest_divisor(case):
+    n, k, w = case
+    x = b(n, *w)
+    letters, rest = br._strip_parabolic(x, k)
+    assert all(1 <= i < k for i in letters)
+    assert rest.inf >= 0
+    assert br.mul(rest, b(n, *letters)) == x
+    assert not any(br.right_divides(br.sigma(n, i), rest) for i in range(1, k))

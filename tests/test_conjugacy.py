@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from test_order import pairwise_compare_flipped
+
 from ldlab import braid as br
 from ldlab import conjugacy as cj
 from ldlab.errors import DomainError, ResourceError
@@ -128,6 +130,21 @@ def test_mu_idempotent_and_class_invariant():
         assert br.equal(cj.mu(m), m)
         for member in cls.members:
             assert br.equal(cj.mu(member), m)
+
+
+@pytest.mark.parametrize("n,maxlen", [(3, 5), (4, 3)])
+def test_mu_is_the_pairwise_minimum(n, maxlen):
+    covered = set()
+    for _, x in br.positive_braids_up_to(n, maxlen):
+        if x in covered:
+            continue
+        cls = cj.positive_conjugates(x)
+        covered.update(cls.members)
+        best = cls.members[0]
+        for m in cls.members[1:]:
+            if pairwise_compare_flipped(m, best, n) == "<":
+                best = m
+        assert cj.mu(x) == best, letters_of(x)
 
 
 def oracle_partition(max_len, conj_len):

@@ -3,7 +3,9 @@
 RANK_TABLE freezes the printed rank column for 36 positive 3-strand
 braids given by their alternating normal words; it doubles as the oracle
 for the two-implementation agreement test (ordinal comparison of ranks
-versus the recursive splitting comparison).
+versus the splitting comparison).  `pairwise_compare_flipped` is the
+recursive pairwise comparison that `flipped_key` replaced, kept as the
+reference for the key.
 """
 
 import random
@@ -57,6 +59,23 @@ RANK_TABLE = [
     ((2, 1, 1, 2, 1), "w^3+1"),
     ((2, 1, 1, 2, 1, 1), "w^3+2"),
 ]
+
+
+def pairwise_compare_flipped(beta, beta2, n):
+    """Reference: ShortLex on the two splittings, recursing on strand
+    count, with two fresh splittings at every level of every comparison."""
+    bu, bv = br._lift(beta), br._lift(beta2)
+    if n == 2:
+        lu, lv = br.braid_length(bu), br.braid_length(bv)
+        return "<" if lu < lv else ">" if lu > lv else "="
+    su, sv = od.splitting(bu, n), od.splitting(bv, n)
+    if su.p != sv.p:
+        return "<" if su.p < sv.p else ">"
+    for eu, ev in zip(su.entries, sv.entries):
+        c = pairwise_compare_flipped(eu, ev, n - 1)
+        if c != "=":
+            return c
+    return "="
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +135,24 @@ def test_compare_flipped_pinned():
     assert od.compare_flipped(b(3, 2, 1), b(3, 1, 2), 3) == "<"
     with pytest.raises(DomainError):
         od.compare_flipped(b(3, -1), b(3, 1), 3)
+
+
+@pytest.mark.parametrize("n,maxlen", [(3, 6), (4, 4)])
+def test_flipped_key_matches_pairwise_reference(n, maxlen):
+    braids = [x for _, x in br.positive_braids_up_to(n, maxlen)]
+    keys = [od.flipped_key(x, n) for x in braids]
+    for x, kx in zip(braids, keys):
+        for y, ky in zip(braids, keys):
+            ref = pairwise_compare_flipped(x, y, n)
+            assert od.compare_flipped(x, y, n) == ref
+            assert ("<" if kx < ky else ">" if kx > ky else "=") == ref
+
+
+def test_flipped_key_rejects_negative_braids():
+    with pytest.raises(DomainError):
+        od.flipped_key(b(3, -1), 3)
+    with pytest.raises(DomainError):
+        od.flipped_key(b(2, 1, -1, -1), 2)
 
 
 def test_rank_table_frozen():
