@@ -390,6 +390,42 @@ def left_gcd(a, b) -> Braid:
         bb = mul(s_inv, bb)
 
 
+def _simple_perm(s: Braid) -> Perm:
+    """The permutation of a simple braid (1, Delta or one factor)."""
+    if s.inf:
+        return w0_perm(s.n)
+    return s.factors[0] if s.factors else identity_perm(s.n)
+
+
+def _left_divide_simple(s: Braid, z: Braid) -> Optional[Braid]:
+    """s^-1 . z for a simple s and a positive z, or None if s does not
+    left-divide z.
+
+    Delta = s . complement(s), so s^-1 Delta^r = Delta^(r-1) tau^(r-1)(complement(s))
+    when r >= 1.  Otherwise s left-divides z exactly when it is a prefix
+    of the first factor in the weak order, i.e. when the lengths add up:
+    perm_len(s) + perm_len(s^-1 f) == perm_len(f).
+    """
+    n = z.n
+    p = _simple_perm(s)
+    if z.inf >= 1:
+        c = _complement(p)
+        if (z.inf - 1) % 2:
+            c = tau_perm(c, n)
+        d, fs = _normalize(n, (c,) + z.factors)
+        return _nf(n, z.inf - 1 + d, fs)
+    if p == identity_perm(n):
+        return z
+    if not z.factors:
+        return None
+    f = z.factors[0]
+    q = perm_mul(perm_inv(p), f)
+    if perm_len(p) + perm_len(q) != perm_len(f):
+        return None
+    d, fs = _normalize(n, (q,) + z.factors[1:])
+    return _nf(n, d, fs)
+
+
 def _strip_parabolic(b: Braid, k: int) -> Tuple[Tuple[int, ...], Braid]:
     """(letters, b . d^-1) for d the largest right-divisor of a positive b
     in sigma_1 .. sigma_{k-1}, spelt by letters.

@@ -11,7 +11,7 @@ ordinals below omega^omega, kept in Cantor normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import braid as br
 from .errors import DomainError
@@ -69,6 +69,14 @@ class SplittingSeq:
         return out
 
 
+def _split_step(cur: br.Braid, n: int) -> Tuple[br.Braid, Optional[br.Braid]]:
+    """The entry stripped off the right of a positive braid of B_n, and the
+    flipped remainder that the splitting continues on (None when empty)."""
+    letters, rest = br._strip_parabolic(cur, n - 1)
+    entry = br.from_word(br.BraidWord(n - 1, letters))
+    return entry, None if rest.is_trivial else br.flip(rest)
+
+
 def splitting(beta, n: int) -> SplittingSeq:
     """Strip maximal parabolic right-divisors, flipping the remainder."""
     if n < 3:
@@ -77,12 +85,9 @@ def splitting(beta, n: int) -> SplittingSeq:
     if cur.inf < 0:
         raise DomainError("splitting needs a positive braid")
     rev: List[br.Braid] = []
-    while True:
-        letters, cur = br._strip_parabolic(cur, n - 1)
-        rev.append(br.from_word(br.BraidWord(n - 1, letters)))
-        if cur.is_trivial:
-            break
-        cur = br.flip(cur)
+    while cur is not None:
+        entry, cur = _split_step(cur, n)
+        rev.append(entry)
     return SplittingSeq(n, tuple(reversed(rev)))
 
 
@@ -106,6 +111,40 @@ def is_normal(seq: SplittingSeq) -> bool:
 # ---------------------------------------------------------------------------
 # order comparisons
 
+def _flipped_keys(n: int) -> Callable[[br.Braid], Any]:
+    """`flipped_key` on positive braids of B_n, as a function that keeps
+    one memo over all its calls.
+
+    The memo maps every braid met to the keys of its splitting entries.
+    As splitting(b) = splitting(flip(rest)) + (entry,), braids sharing a
+    remainder, such as the members of one conjugacy class, split it once.
+    One sub-keyer, with its own memo, keys the entries on n - 1 strands.
+    """
+    if n < 3:
+        if n == 2:
+            return br.braid_length
+        raise DomainError(f"splittings need n >= 3, got {n}")
+    sub = _flipped_keys(n - 1)
+    memo: Dict[br.Braid, Tuple[Any, ...]] = {}
+
+    def key(b: br.Braid):
+        chain = []
+        keys: Tuple[Any, ...] = ()
+        while b is not None:
+            if b in memo:
+                keys = memo[b]
+                break
+            entry, rest = _split_step(b, n)
+            chain.append((b, sub(entry)))
+            b = rest
+        for c, k in reversed(chain):
+            keys += (k,)
+            memo[c] = keys
+        return (len(keys), keys)
+
+    return key
+
+
 def flipped_key(beta, n: int):
     """Sort key of the flipped D-order on the positive braids of B_n.
 
@@ -118,10 +157,7 @@ def flipped_key(beta, n: int):
     b = br._lift(beta)
     if b.inf < 0:
         raise DomainError("the flipped order needs positive braids")
-    if n == 2:
-        return br.braid_length(b)
-    seq = splitting(b, n)
-    return (seq.p, tuple(flipped_key(e, n - 1) for e in seq.entries))
+    return _flipped_keys(n)(b if n == 2 else br.embed(b, n))
 
 
 def compare_flipped(beta, beta2, n: int) -> str:

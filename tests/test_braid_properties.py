@@ -4,8 +4,8 @@ The independent oracle for equality is the Artin action of B_n on the
 free group F_n (through the free conjugation rack), which is faithful:
 two words give the same braid exactly when they act alike on the
 generators x_1 .. x_n.  The group laws and the word-reversing
-anti-automorphism are checked on the same words, the parabolic strip on
-positive words.  These tests need Hypothesis (the ``test`` extra); the
+anti-automorphism are checked on the same words, the parabolic strip and
+the left division by a simple on positive words.  These tests need Hypothesis (the ``test`` extra); the
 module is skipped without it.
 """
 
@@ -82,3 +82,22 @@ def test_parabolic_strip_splits_off_the_largest_divisor(case):
     assert rest.inf >= 0
     assert br.mul(rest, b(n, *letters)) == x
     assert not any(br.right_divides(br.sigma(n, i), rest) for i in range(1, k))
+
+
+def _division_cases():
+    return st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.permutations(range(1, n + 1)), st.integers(0, 2),
+        st.lists(st.integers(1, n - 1), max_size=8).map(tuple)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_division_cases())
+def test_left_division_by_a_simple(case):
+    n, perm, k, w = case
+    s = b(n, *br._simple_word(tuple(perm)))
+    z = br.mul(br.delta(n, k), b(n, *w))
+    q = br._left_divide_simple(s, z)
+    assert (q is None) == (not br.left_divides(s, z))
+    if q is not None:
+        assert q.inf >= 0
+        assert br.mul(s, q) == z

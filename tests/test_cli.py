@@ -251,6 +251,14 @@ def test_law_scan_memory_cap_exits_one(capsys, monkeypatch):
     assert err.startswith("error: ") and "LDLAB_MAX_MEM" in err
 
 
+def test_conj_class_memory_cap_exits_one(capsys, monkeypatch):
+    # the 718 simple conjugators of B_6 are over a 100 kB cap
+    monkeypatch.setenv("LDLAB_MAX_MEM", "100000")
+    code, out, err = run(capsys, ["conj", "class", "--strands", "6", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "LDLAB_MAX_MEM" in err
+
+
 def test_cli_import_leaves_numpy_out():
     # only the LD scan of 24 or more elements needs numpy, so start-up skips it
     code = "import sys, ldlab.cli; print('numpy' in sys.modules)"

@@ -1,5 +1,6 @@
 """Positive conjugacy classes, the flipped-order minimum mu, and the sweep."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from test_order import pairwise_compare_flipped
 
 from ldlab import braid as br
 from ldlab import conjugacy as cj
+from ldlab import invariants
 from ldlab.errors import DomainError, ResourceError
 
 
@@ -17,6 +19,29 @@ def W(letters):
 
 def letters_of(b):
     return br.to_word(b).letters
+
+
+def _classes(n, max_len):
+    """One root per positive conjugacy class met up to max_len, with its class."""
+    covered = set()
+    for _, x in br.positive_braids_up_to(n, max_len):
+        if x not in covered:
+            cls = cj.positive_conjugates(x)
+            covered.update(cls.members)
+            yield x, cls
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper counting its calls; returns [count]."""
+    count = [0]
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return count
 
 
 # mu on the alternating normal forms of every braid of rank up to w^3+2,
@@ -134,12 +159,7 @@ def test_mu_idempotent_and_class_invariant():
 
 @pytest.mark.parametrize("n,maxlen", [(3, 5), (4, 3)])
 def test_mu_is_the_pairwise_minimum(n, maxlen):
-    covered = set()
-    for _, x in br.positive_braids_up_to(n, maxlen):
-        if x in covered:
-            continue
-        cls = cj.positive_conjugates(x)
-        covered.update(cls.members)
+    for x, cls in _classes(n, maxlen):
         best = cls.members[0]
         for m in cls.members[1:]:
             if pairwise_compare_flipped(m, best, n) == "<":
@@ -187,6 +207,81 @@ def test_class_size_bound_is_explicit():
         cj.positive_conjugates(W((1, 2, 1)), max_members=2)
 
 
+def reference_class(b):
+    """Member -> conjugator, by conjugating every member by every
+    non-trivial simple, Delta included, as two full products."""
+    n = b.n
+    simples = [(br.inverse(s), s) for s in br.all_simples(n) if not s.is_trivial]
+    found = {b: br.identity(n)}
+    frontier = [b]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for s_inv, s in simples:
+                y = br.mul(br.mul(s_inv, x), s)
+                if y.inf < 0 or y in found:
+                    continue
+                found[y] = br.mul(found[x], s)
+                fresh.append(y)
+        frontier = fresh
+    return found
+
+
+def _artin(n, letters):
+    return invariants.act_partial(invariants.FreeConjugationRack(),
+                                  tuple((i,) for i in range(1, n + 1)), letters)
+
+
+@pytest.mark.parametrize("n,max_len", [(3, 6), (4, 4)])
+def test_flip_orbit_search_matches_all_simples_reference(n, max_len):
+    for x, cls in _classes(n, max_len):
+        assert set(cls.members) == set(reference_class(x)), letters_of(x)
+        assert len(set(cls.members)) == len(cls.members)
+        root = letters_of(x)
+        for m in cls.members:
+            u = letters_of(cls.witness(m))
+            assert _artin(n, root + u) == _artin(n, u + letters_of(m))
+
+
+@pytest.mark.parametrize("n,max_len", [(3, 5), (4, 3)])
+def test_class_bound_is_exact(n, max_len):
+    # members arrive in flip pairs, and the bound holds after each of them
+    sizes = set()
+    for x, cls in _classes(n, max_len):
+        assert len(cj.positive_conjugates(x, max_members=len(cls))) == len(cls)
+        if len(cls) > 1:
+            sizes.add(len(cls))
+            with pytest.raises(ResourceError):
+                cj.positive_conjugates(x, max_members=len(cls) - 1)
+    assert 2 in sizes and any(k % 2 for k in sizes)
+
+
+def test_class_in_b2_is_the_braid_alone():
+    x = br.from_word(br.BraidWord(2, (1, 1, 1)))
+    cls = cj.positive_conjugates(x)
+    assert cls.members == (x,) and cls.witness(x).is_trivial
+    assert cj.mu(x) == x
+
+
+def test_simple_list_respects_memory_cap(monkeypatch):
+    # 718 simples of B_6 take about 184 kB, the 118 of B_5 about 30 kB
+    monkeypatch.setenv("LDLAB_MAX_MEM", "100000")
+    with pytest.raises(ResourceError, match="LDLAB_MAX_MEM"):
+        cj.positive_conjugates("1", 6)
+    assert len(cj.positive_conjugates("1", 5)) == 4
+
+
+def test_enumeration_mul_count_is_pinned(monkeypatch):
+    # a machine-independent cost: 29,728 products with the all-simples search
+    # and a per-member splitting, 12,848 on flip orbits with a shared key memo
+    braids = [W(w) for w in itertools.product((1, 2), repeat=6)]
+    calls = count_calls(monkeypatch, br, "mul")
+    for b in braids:
+        cj.positive_conjugates(b)
+        cj.mu(b)
+    assert 0 < calls[0] <= 12848
+
+
 def test_input_validation():
     with pytest.raises(DomainError):
         cj.positive_conjugates(br.from_word(br.BraidWord(3, (-1,))))
@@ -212,6 +307,12 @@ def test_flipped_sandwich_variant_holds_up_to_length_4():
         lhs = cj.mu(br.mul(b, br.delta(3, 2)))
         rhs = br.mul(br.mul(u, cj.mu(b)), v)
         assert br.equal(lhs, rhs), letters_of(b)
+
+
+def test_sweep_enumerates_two_classes_per_row(monkeypatch):
+    calls = count_calls(monkeypatch, cj, "positive_conjugates")
+    rows = cj.sweep_mu_delta(4)
+    assert len(rows) == 26 and calls[0] == 52
 
 
 def test_sweep_reports_status_per_braid():
