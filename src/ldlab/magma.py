@@ -198,18 +198,24 @@ def parse_rack_spec(text: str) -> FiniteMagma:
     """Build a table from a spec string: dihedral:<k>, affine:<m>:<t>,
     laver:<n>, or file:<path.csv> (a CSV m-by-m table)."""
     head, _, rest = text.partition(":")
+    # only the int() calls sit in the try: the constructors raise DomainError,
+    # a ValueError, whose message must not turn into "non-integer"
     try:
-        if head == "dihedral":
-            return dihedral_quandle(int(rest))
         if head == "affine":
             m, _, t = rest.partition(":")
-            return affine_quandle(int(m), int(t))
-        if head == "laver":
-            from . import laver
-
-            return laver.build_laver_table(int(rest)).as_magma()
+            params = (int(m), int(t))
+        elif head in ("dihedral", "laver"):
+            params = (int(rest),)
     except ValueError:
         raise DomainError(f"non-integer parameter in rack spec {text!r}") from None
+    if head == "dihedral":
+        return dihedral_quandle(*params)
+    if head == "affine":
+        return affine_quandle(*params)
+    if head == "laver":
+        from . import laver
+
+        return laver.build_laver_table(*params).as_magma()
     if head == "file":
         import csv
 

@@ -259,14 +259,44 @@ def test_conj_class_memory_cap_exits_one(capsys, monkeypatch):
     assert err.startswith("error: ") and "LDLAB_MAX_MEM" in err
 
 
-def test_cli_import_leaves_numpy_out():
-    # only the LD scan of 24 or more elements needs numpy, so start-up skips it
-    code = "import sys, ldlab.cli; print('numpy' in sys.modules)"
+def loaded_after(statement):
+    """The modules a fresh interpreter has loaded after `import ldlab.cli`
+    and then `statement`; the command's own output goes to stderr."""
+    code = ("import contextlib, sys, ldlab.cli\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            f"    {statement}\n"
+            "print(' '.join(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert done.stdout.strip() == "False"
+    return set(done.stdout.split())
+
+
+def ldlab_modules(loaded):
+    return {name for name in loaded if name.startswith("ldlab.")}
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the LD scan of 24 or more elements needs numpy, so start-up skips it
+    assert "numpy" not in loaded_after("pass")
+
+
+def test_cli_import_loads_no_library_module():
+    assert ldlab_modules(loaded_after("pass")) == {"ldlab.cli", "ldlab.errors"}
+
+
+def test_order_command_loads_only_braid_and_order():
+    loaded = loaded_after("ldlab.cli.main(['order', 'rank3', '1 2 1'])")
+    assert ldlab_modules(loaded) == {"ldlab.braid", "ldlab.order",
+                                     "ldlab.errors", "ldlab.cli"}
+
+
+def test_laver_command_leaves_braid_out():
+    loaded = ldlab_modules(
+        loaded_after("ldlab.cli.main(['laver', 'table', '--n', '2'])"))
+    assert "ldlab.laver" in loaded
+    assert not loaded & {"ldlab.braid", "ldlab.order"}
 
 
 def test_usage_errors_exit_two(capsys):
@@ -309,3 +339,23 @@ def test_parse_rack_spec_rejects():
                 "foo:1", ""):
         with pytest.raises(DomainError):
             magma.parse_rack_spec(bad)
+
+
+# a constructor's DomainError is a ValueError too; it must keep its message
+CONSTRUCTOR_ERRORS = [("affine:6:2", "t = 2 is not invertible mod 6"),
+                      ("dihedral:0", "need k >= 1, got 0"),
+                      ("laver:-1", "need n >= 0, got -1")]
+
+
+@pytest.mark.parametrize("spec, message", CONSTRUCTOR_ERRORS)
+def test_parse_rack_spec_keeps_constructor_message(spec, message):
+    with pytest.raises(DomainError, match=message):
+        magma.parse_rack_spec(spec)
+
+
+@pytest.mark.parametrize("spec, message", CONSTRUCTOR_ERRORS)
+def test_rack_spec_constructor_error_exits_one(capsys, spec, message):
+    code, out, err = run(capsys, ["cocycle", "rank", "--rack", spec,
+                                  "--degree", "2"])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
