@@ -5,17 +5,20 @@ Braids are kept in left-weighted normal form over permutation braids:
 element distinct from Delta and every adjacent pair left-weighted.  That
 form is unique, so two `Braid` values are equal exactly when they are the
 same braid.  The public constructor ``Braid(n, inf, factors)`` holds every
-value to it: each factor must be a permutation of 1..n other than 1 and
-Delta, and each adjacent pair must be left-weighted, or it raises
-DomainError.  The operations of this module build their results through
-the unchecked ``_nf``.  All values are immutable.
+value to it, or raises DomainError; the operations of this module build
+their results through the unchecked ``_nf``.  All values are immutable.
+
+The kernels work a simple at a time (Epstein et al., *Word Processing in
+Groups*, 1992, ch. 9): `_normalize` takes each simple in with one
+right-to-left pass, a left division by a simple rewrites the head only,
+and gcds and parabolic divisors are peeled off as meets of heads.
+`inverse` is the closed form of El-Rifai and Morton (Q. J. Math. 45,
+1994), left-weighted as it stands.
 
 Permutations are one-line tuples over 1..n.  ``perm_mul(p, q)`` composes
 "p then q", matching left-to-right reading of braid words.  What the
-engine reads off a single permutation (inverse, Delta-conjugate, length,
-descent sets, complement, word) and the left-weighting of a pair are
-computed on first use and memoised, each memo up to a fixed number of
-entries.
+engine reads off a single permutation and the left-weighting of a pair
+are memoised on first use, each memo up to a fixed number of entries.
 """
 
 from __future__ import annotations
@@ -206,32 +209,36 @@ def render_word(w: BraidWord) -> str:
 
 
 def _normalize(n: int, perms: Sequence[Perm]) -> Tuple[int, Tuple[Perm, ...]]:
-    """Left-weighted form of a product of simples; returns (delta count, factors)."""
+    """Left-weighted form of a product of simples; returns (delta count, factors).
+
+    Each simple is taken onto a product in normal form (Epstein et al.,
+    ch. 9).  Delta adds to the count and tau-conjugates the factors before
+    it.  Any other simple is appended and the pairs are left-weighted from
+    the right, up to the first pair that stays as it is.  Only the appended
+    simple can shrink to 1, and Deltas can form only at the front.
+    """
     idp = identity_perm(n)
     w0 = w0_perm(n)
-    fs = [p for p in perms if p != idp]
     d = 0
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(fs):
-            if fs[i] == idp:
-                fs.pop(i)
-                changed = True
-            elif fs[i] == w0:
-                fs.pop(i)
-                d += 1
-                for j in range(i):
-                    fs[j] = tau_perm(fs[j], n)
-                changed = True
-            else:
-                i += 1
-        for j in range(len(fs) - 1):
+    fs: list = []
+    for p in perms:
+        if p == w0:
+            d += 1
+            fs = [tau_perm(f, n) for f in fs]
+            continue
+        if p == idp:
+            continue
+        fs.append(p)
+        for j in range(len(fs) - 2, -1, -1):
             a, b = _left_weighted_fix(fs[j], fs[j + 1])
-            if (a, b) != (fs[j], fs[j + 1]):
-                fs[j], fs[j + 1] = a, b
-                changed = True
+            if b == fs[j + 1]:
+                break
+            fs[j], fs[j + 1] = a, b
+        if fs[-1] == idp:
+            fs.pop()
+        while fs and fs[0] == w0:
+            fs.pop(0)
+            d += 1
     return d, tuple(fs)
 
 
@@ -271,12 +278,16 @@ def mul(u: Braid, v: Braid) -> Braid:
 
 
 def inverse(u: Braid) -> Braid:
-    n = u.n
-    out = identity(n)
-    for f in reversed(u.factors):
-        d, fs = _normalize(n, (tau_perm(_complement(f), n),))
-        out = mul(out, _nf(n, -1 + d, fs))
-    return mul(out, _nf(n, -u.inf, ()))
+    """The inverse in closed form (El-Rifai and Morton, Q. J. Math. 45, 1994).
+
+    A^-1 = complement(A) . Delta^-1, and a Delta^-1 moved left over a simple
+    tau-conjugates it, so (Delta^r A_1 ... A_m)^-1 = Delta^(-r-m) B_m ... B_1
+    with B_j = tau^(r+j)(complement(A_j)), which is already left-weighted.
+    """
+    n, r = u.n, u.inf
+    fs = tuple(_complement(f) if (r + j) % 2 == 0 else tau_perm(_complement(f), n)
+               for j, f in enumerate(u.factors, start=1))
+    return _nf(n, -r - len(fs), fs[::-1])
 
 
 def _rev(b: Braid) -> Braid:
@@ -362,44 +373,47 @@ def left_divides(a, b) -> bool:
     return mul(inverse(ba), bb).inf >= 0
 
 
-def _left_descent_set(b: Braid) -> Tuple[int, ...]:
-    """Generators sigma_i left-dividing a positive braid."""
+def _head(b: Braid) -> Perm:
+    """The permutation of gcd(b, Delta) for a positive braid b."""
     if b.inf >= 1:
-        return tuple(range(1, b.n))
-    if b.factors:
-        return left_descents(b.factors[0])
-    return ()
+        return w0_perm(b.n)
+    return b.factors[0] if b.factors else identity_perm(b.n)
+
+
+@_memo
+def _meet(p: Perm, q: Perm) -> Perm:
+    """The greatest common prefix of two simples in the weak order."""
+    g = identity_perm(len(p))
+    while True:
+        i = next((i for i in left_descents(p) if i in left_descents(q)), None)
+        if i is None:
+            return g
+        g = _swap_values(g, i)
+        p, q = _swap_entries(p, i), _swap_entries(q, i)
 
 
 def left_gcd(a, b) -> Braid:
+    """The greatest common left divisor of two positive braids, peeled a
+    simple at a time: gcd(a, b) = s . gcd(s^-1 a, s^-1 b), s the heads' meet."""
     ba, bb = _lift(a), _lift(b)
     if ba.n != bb.n:
         raise DomainError(f"strand mismatch: {ba.n} vs {bb.n}")
     _require_positive(ba, "argument")
     _require_positive(bb, "argument")
     n = ba.n
-    g = identity(n)
+    peeled = []
     while True:
-        common = set(_left_descent_set(ba)) & set(_left_descent_set(bb))
-        if not common:
-            return g
-        i = min(common)
-        s_inv = inverse(sigma(n, i))
-        g = mul(g, sigma(n, i))
-        ba = mul(s_inv, ba)
-        bb = mul(s_inv, bb)
+        m = _meet(_head(ba), _head(bb))
+        if m == identity_perm(n):
+            d, fs = _normalize(n, peeled)
+            return _nf(n, d, fs)
+        peeled.append(m)
+        ba, bb = _left_divide_simple(m, ba), _left_divide_simple(m, bb)
 
 
-def _simple_perm(s: Braid) -> Perm:
-    """The permutation of a simple braid (1, Delta or one factor)."""
-    if s.inf:
-        return w0_perm(s.n)
-    return s.factors[0] if s.factors else identity_perm(s.n)
-
-
-def _left_divide_simple(s: Braid, z: Braid) -> Optional[Braid]:
-    """s^-1 . z for a simple s and a positive z, or None if s does not
-    left-divide z.
+def _left_divide_simple(p: Perm, z: Braid) -> Optional[Braid]:
+    """s^-1 . z for the simple s of the permutation p and a positive z, or
+    None if s does not left-divide z.
 
     Delta = s . complement(s), so s^-1 Delta^r = Delta^(r-1) tau^(r-1)(complement(s))
     when r >= 1.  Otherwise s left-divides z exactly when it is a prefix
@@ -407,7 +421,6 @@ def _left_divide_simple(s: Braid, z: Braid) -> Optional[Braid]:
     perm_len(s) + perm_len(s^-1 f) == perm_len(f).
     """
     n = z.n
-    p = _simple_perm(s)
     if z.inf >= 1:
         c = _complement(p)
         if (z.inf - 1) % 2:
@@ -426,24 +439,27 @@ def _left_divide_simple(s: Braid, z: Braid) -> Optional[Braid]:
     return _nf(n, d, fs)
 
 
-def _strip_parabolic(b: Braid, k: int) -> Tuple[Tuple[int, ...], Braid]:
-    """(letters, b . d^-1) for d the largest right-divisor of a positive b
-    in sigma_1 .. sigma_{k-1}, spelt by letters.
+def _strip_parabolic(b: Braid, k: int) -> Tuple[Braid, Braid]:
+    """(d, b . d^-1) for d the largest right-divisor of a positive b in
+    sigma_1 .. sigma_{k-1}.
 
     The right divisors of b are the reversals of the left divisors of
-    _rev(b), and sigma_i left-divides a positive braid exactly when i is
-    in its left descent set.  So d is peeled off the front of _rev(b) one
-    generator at a time, in a single pass; what is left reverses to b . d^-1.
+    r = _rev(b).  The parabolic submonoid is Garside with Garside element
+    Delta_k, so its largest left divisor of r is peeled a simple at a time:
+    gcd(r, Delta_k), the meet of Delta_k and the head of r, which sorts the
+    head's first k entries.  d is the product of the reversed simples.
     """
     n = b.n
+    dk = w0_perm(k) + identity_perm(n)[k:]
     r = _rev(b)
-    letters = []
+    peeled = []
     while True:
-        i = next((i for i in _left_descent_set(r) if i < k), None)
-        if i is None:
-            return tuple(reversed(letters)), _rev(r)
-        letters.append(i)
-        r = mul(inverse(sigma(n, i)), r)
+        p = _meet(_head(r), dk)
+        if p == identity_perm(n):
+            d, fs = _normalize(n, [perm_inv(s) for s in reversed(peeled)])
+            return _nf(n, d, fs), _rev(r)
+        peeled.append(p)
+        r = _left_divide_simple(p, r)
 
 
 def max_right_divisor_in_parabolic(b, k: int) -> Braid:
@@ -453,8 +469,7 @@ def max_right_divisor_in_parabolic(b, k: int) -> Braid:
     n = bb.n
     if not 2 <= k <= n:
         raise DomainError(f"parabolic rank {k} out of range for {n} strands")
-    letters, _ = _strip_parabolic(bb, k)
-    return from_word(BraidWord(n, letters))
+    return _strip_parabolic(bb, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,43 +484,28 @@ def flip(b, n: Optional[int] = None) -> Braid:
     return _nf(m, bb.inf, tuple(tau_perm(f, m) for f in bb.factors))
 
 
-def _fraction_words(b: Braid) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Positive words (u, v) with b = u^{-1} v, supported on the true parabolic.
-
-    The canonical word of a braid with negative inf spells out Delta_n and
-    so mentions every generator; the irreducible fraction keeps both parts
-    positive, whose words never leave the smallest standard parabolic
-    containing the braid.
-    """
-    b1, b2 = fraction_decomposition(b)
-    return to_word(b1).letters, to_word(b2).letters
-
-
-def _remap(u: Tuple[int, ...], v: Tuple[int, ...], ambient: int, offset: int) -> Braid:
-    num = from_word(BraidWord(ambient, tuple(l + offset for l in u)))
-    den = from_word(BraidWord(ambient, tuple(l + offset for l in v)))
+def _moved(b: Braid, ambient: int, offset: int) -> Braid:
+    """b in B_ambient with every sigma_i renamed sigma_{i+offset}, rebuilt
+    from the words of its irreducible fraction u^-1 v: unlike the canonical
+    word, which spells out Delta_n when inf < 0, u and v never leave the
+    smallest standard parabolic that holds b."""
+    u, v = (to_word(x).letters for x in fraction_decomposition(b))
+    if ambient < max(max(itertools.chain(u, v), default=0) + offset + 1, 2):
+        raise DomainError(f"ambient {ambient} too small for this braid")
+    num, den = (from_word(BraidWord(ambient, tuple(l + offset for l in w)))
+                for w in (u, v))
     return mul(inverse(num), den)
 
 
 def shift(b, ambient: int) -> Braid:
     """The endomorphism sh: sigma_i -> sigma_{i+1}, into B_ambient."""
-    u, v = _fraction_words(_lift(b))
-    support = max(itertools.chain(u, v), default=0)
-    if ambient < support + 2:
-        raise DomainError(f"ambient {ambient} too small to hold the shifted braid")
-    return _remap(u, v, ambient, 1)
+    return _moved(_lift(b), ambient, 1)
 
 
 def embed(b, ambient: int) -> Braid:
     """The same braid viewed in B_ambient (idle strands added on the right)."""
     bb = _lift(b)
-    if ambient == bb.n:
-        return bb
-    u, v = _fraction_words(bb)
-    support = max(itertools.chain(u, v), default=0)
-    if ambient < max(support + 1, 2):
-        raise DomainError(f"ambient {ambient} too small for this braid")
-    return _remap(u, v, ambient, 0)
+    return bb if ambient == bb.n else _moved(bb, ambient, 0)
 
 
 def shifted_conj(beta, gamma, ambient: int) -> Braid:

@@ -112,7 +112,7 @@ def positive_conjugates(beta, n: Optional[int] = None,
         fresh = []
         for x in frontier:
             for s in simples:
-                y = br._left_divide_simple(s, br.mul(x, s))
+                y = br._left_divide_simple(s.factors[0], br.mul(x, s))
                 if y is None or y in found:
                     continue
                 u = br.mul(found[x], s)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from . import braid, homology, laver
+from . import braid
 from .errors import DomainError
 from .magma import (FiniteMagma, QuandleTerm, _gen_name, bar_term, gen,
                     is_ld, is_left_cancellative, is_rack, left_inverse_op,
@@ -201,6 +201,7 @@ def count_closure_colourings(M: FiniteMagma, w, m: int) -> int:
 
 def cocycle_invariant(M: FiniteMagma, phi, w, colours, checked: bool = True) -> int:
     """Sum of phi over the crossings seen while propagating a positive word."""
+    from . import homology
     if not isinstance(phi, homology.Cochain) or phi.degree != 2 or phi.m != M.m:
         raise DomainError("phi must be a degree-2 cochain over the same carrier")
     if checked:
@@ -310,6 +311,7 @@ def laver_fraction_colouring(n: int, w, mid, mode: str = "fraction") -> Tuple[tu
     mid.beta_2); in delta mode, w = Delta^{-d} beta_0 gives (mid.Delta^d,
     mid.beta_0).  Both halves are positive, so the table only needs LD.
     """
+    from . import laver
     m = len(mid)
     if m < 2:
         raise DomainError(f"need at least 2 strands, got {m}")

@@ -71,10 +71,14 @@ class SplittingSeq:
 
 def _split_step(cur: br.Braid, n: int) -> Tuple[br.Braid, Optional[br.Braid]]:
     """The entry stripped off the right of a positive braid of B_n, and the
-    flipped remainder that the splitting continues on (None when empty)."""
-    letters, rest = br._strip_parabolic(cur, n - 1)
-    entry = br.from_word(br.BraidWord(n - 1, letters))
-    return entry, None if rest.is_trivial else br.flip(rest)
+    flipped remainder that the splitting continues on (None when empty).
+
+    The divisor's factors fix strand n, so the entry's are the same
+    permutations less their last entry, with leading Delta_{n-1}s counted.
+    """
+    div, rest = br._strip_parabolic(cur, n - 1)
+    d, fs = br._normalize(n - 1, tuple(f[:-1] for f in div.factors))
+    return br._nf(n - 1, d, fs), None if rest.is_trivial else br.flip(rest)
 
 
 def splitting(beta, n: int) -> SplittingSeq:
@@ -103,7 +107,7 @@ def is_normal(seq: SplittingSeq) -> bool:
         suffix = br.mul(br.flip(suffix), br.embed(seq.entries[p - r], n))
         if r == 1:
             break
-        if br._left_descent_set(br._rev(suffix)) != (1,):
+        if br.left_descents(br._head(br._rev(suffix))) != (1,):
             return False
     return True
 

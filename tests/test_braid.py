@@ -178,19 +178,20 @@ def test_left_gcd_pinned():
 
 def test_left_gcd_matches_oracle():
     rng = random.Random(77)
-    words = [tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 5)))
-             for _ in range(40)]
-    for u, v in zip(words[::2], words[1::2]):
-        g = br.left_gcd(b(3, *u), b(3, *v))
-        assert br.left_divides(g, b(3, *u))
-        assert br.left_divides(g, b(3, *v))
-        ucls, vcls = word_class(u), word_class(v)
-        common = {w[:k] for w in ucls for k in range(len(u) + 1)} & \
-                 {w[:k] for w in vcls for k in range(len(v) + 1)}
-        best = max(len(w) for w in common)
-        assert br.braid_length(g) == best
-        reps = {b(3, *w) for w in common if len(w) == best}
-        assert reps == {g}
+    for n, maxlen in ((3, 5), (4, 4)):
+        words = [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, maxlen)))
+                 for _ in range(40)]
+        for u, v in zip(words[::2], words[1::2]):
+            g = br.left_gcd(b(n, *u), b(n, *v))
+            assert br.left_divides(g, b(n, *u))
+            assert br.left_divides(g, b(n, *v))
+            ucls, vcls = word_class(u), word_class(v)
+            common = {w[:k] for w in ucls for k in range(len(u) + 1)} & \
+                     {w[:k] for w in vcls for k in range(len(v) + 1)}
+            best = max(len(w) for w in common)
+            assert br.braid_length(g) == best
+            reps = {b(n, *w) for w in common if len(w) == best}
+            assert reps == {g}
 
 
 def test_max_right_divisor_in_parabolic_pinned():
@@ -384,6 +385,90 @@ def test_constructor_accepts_every_normal_form(n):
         for w in positive_words(n, length):
             for x in (b(n, *w), br.inverse(b(n, *w))):
                 assert br.Braid(x.n, x.inf, x.factors) == x
+
+
+# ---------------------------------------------------------------------------
+# the one-pass normal form and the closed-form inverse against the loops
+# they replaced
+
+def _bubble_normalize(n, perms):
+    """Sweep every pair until nothing changes, dropping each 1 and moving
+    each Delta into the count, tau-conjugating what stands before it."""
+    idp, w0 = br.identity_perm(n), br.w0_perm(n)
+    fs = list(perms)
+    d = 0
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(fs):
+            if fs[i] == idp:
+                fs.pop(i)
+                changed = True
+            elif fs[i] == w0:
+                fs.pop(i)
+                d += 1
+                fs[:i] = [br.tau_perm(f, n) for f in fs[:i]]
+                changed = True
+            else:
+                i += 1
+        for j in range(len(fs) - 1):
+            pair = br._left_weighted_fix(fs[j], fs[j + 1])
+            if pair != (fs[j], fs[j + 1]):
+                fs[j], fs[j + 1] = pair
+                changed = True
+    return d, tuple(fs)
+
+
+def _bubble_mul(u, v):
+    n = u.n
+    uf = u.factors
+    if v.inf % 2:
+        uf = tuple(br.tau_perm(f, n) for f in uf)
+    d, fs = _bubble_normalize(n, uf + v.factors)
+    return br._nf(n, u.inf + v.inf + d, fs)
+
+
+def _per_factor_inverse(x):
+    """Multiply the factor inverses Delta^-1 . tau(complement(f)) in reverse
+    order, then Delta^-inf, normalising every product."""
+    n = x.n
+    out = br._nf(n, 0, ())
+    for f in reversed(x.factors):
+        d, fs = _bubble_normalize(n, (br.tau_perm(br._complement(f), n),))
+        out = _bubble_mul(out, br._nf(n, d - 1, fs))
+    return _bubble_mul(out, br._nf(n, -x.inf, ()))
+
+
+def _random_perm(rng, n):
+    p = list(range(1, n + 1))
+    rng.shuffle(p)
+    return tuple(p)
+
+
+def test_normalize_matches_bubble_loop():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        pool = (br.identity_perm(n), br.w0_perm(n))
+        perms = [rng.choice(pool) if rng.random() < 0.2 else _random_perm(rng, n)
+                 for _ in range(rng.randint(0, 8))]
+        d, fs = br._normalize(n, perms)
+        assert (d, fs) == _bubble_normalize(n, perms), (n, perms)
+        assert br.Braid(n, d, fs) == br._nf(n, d, fs)
+
+
+def test_inverse_matches_per_factor_products():
+    rng = random.Random(2025)
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        w = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                  for _ in range(rng.randint(0, 12)))
+        x = b(n, *w)
+        y = br.inverse(x)
+        assert y == _per_factor_inverse(x), (n, w)
+        assert br.Braid(n, y.inf, y.factors) == y
+        assert br.mul(x, y).is_trivial
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,10 @@ def _strip_cases():
 def test_parabolic_strip_splits_off_the_largest_divisor(case):
     n, k, w = case
     x = b(n, *w)
-    letters, rest = br._strip_parabolic(x, k)
-    assert all(1 <= i < k for i in letters)
+    divisor, rest = br._strip_parabolic(x, k)
+    assert all(1 <= i < k for i in br.to_word(divisor).letters)
     assert rest.inf >= 0
-    assert br.mul(rest, b(n, *letters)) == x
+    assert br.mul(rest, divisor) == x
     assert not any(br.right_divides(br.sigma(n, i), rest) for i in range(1, k))
 
 
@@ -96,7 +96,7 @@ def test_left_division_by_a_simple(case):
     n, perm, k, w = case
     s = b(n, *br._simple_word(tuple(perm)))
     z = br.mul(br.delta(n, k), b(n, *w))
-    q = br._left_divide_simple(s, z)
+    q = br._left_divide_simple(tuple(perm), z)
     assert (q is None) == (not br.left_divides(s, z))
     if q is not None:
         assert q.inf >= 0

@@ -299,6 +299,14 @@ def test_laver_command_leaves_braid_out():
     assert not loaded & {"ldlab.braid", "ldlab.order"}
 
 
+def test_color_count_leaves_homology_and_laver_out():
+    loaded = ldlab_modules(loaded_after(
+        "ldlab.cli.main(['color', 'count', '--rack', 'dihedral:3', "
+        "'--strands', '2', '1 1 1'])"))
+    assert "ldlab.invariants" in loaded
+    assert not loaded & {"ldlab.homology", "ldlab.linalg", "ldlab.laver"}
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, ["laver", "bogus"])[0] == 2
     assert run(capsys, ["laver"])[0] == 2
