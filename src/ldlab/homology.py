@@ -214,19 +214,30 @@ def is_three_cocycle(f: Cochain, M: FiniteMagma) -> LawCheck:
 
 
 def _cocycle_constraints(M: FiniteMagma, degree: int):
-    """Sparse rows of the dual rack-boundary map on degree-`degree` cochains."""
+    """Sparse rows of the dual rack-boundary map on degree-`degree` cochains.
+
+    One row per tuple t = (t_0, ..., t_k), k = degree, with 0-based entries,
+    in product order.  Writing [u_1..u_r] for the base-m number with those
+    digits, face i of t (sign (-1)^i) has the flat index
+    [t_0..t_{i-1}] * m^(k-i) + [t_i*t_{i+1}, ..., t_i*t_k] for d*_i, and
+    d0_i is d*_i for x*y = y.  The d* faces enter before the d0 faces, as
+    in `boundary`, so the rows match its rows entry for entry.
+    """
     from itertools import product
 
     m = M.m
-    for tup in product(range(1, m + 1), repeat=degree + 1):
+    op = [[y - 1 for y in row] for row in M.op]
+    trivial = [list(range(m))] * m
+    for t in product(range(m), repeat=degree + 1):
         row: Dict[int, int] = {}
-        for face, c in boundary(M, "rack", tup).items():
-            j = _flat(m, face)
-            v = row.get(j, 0) + c
-            if v:
-                row[j] = v
-            else:
-                row.pop(j, None)
+        for table, sign in ((op, 1), (trivial, -1)):
+            head = 0
+            for i, x in enumerate(t):
+                tail, rx = 0, table[x]
+                for y in t[i + 1:]:
+                    tail = tail * m + rx[y]
+                _add(row, head * m ** (degree - i) + tail, sign)
+                head, sign = head * m + x, -sign
         if row:
             yield row
 

@@ -2,48 +2,51 @@
 
 Everything runs on Python ints, so there is no overflow and no floating
 point.  One routine, `_reduce`, does all the elimination: it Euclidean-reduces
-a weight vector to a single nonzero entry by unimodular row operations,
-carrying the same operations through the rows of any tables it is given.
-`kernel_basis` maintains a basis of a sublattice of Z^dim that satisfies all
-constraints seen so far: a new constraint is pushed through the current
-basis, the resulting weights are reduced, and the one row left with a
-nonzero weight is dropped.  The result is a saturated lattice (any integer
-solution of the constraint system is an integer combination of the returned
-rows), which is what makes reported ranks honest over Z rather than over Q.
-`lattice_solve` reduces column by column to an integer echelon form.
+a sparse {row: weight} vector to a single nonzero entry by unimodular row
+operations, handing each operation to a callback that applies it to the
+caller's rows.  `kernel_basis` keeps a basis of a sublattice of Z^dim that
+satisfies all constraints seen so far, as sparse rows in fixed slots, with an
+index from each column to the live slots that are nonzero there.  A new
+constraint is weighed only against the slots in the support of its columns;
+when some weight is nonzero, the weights are reduced and the one slot left
+with a nonzero weight is emptied.  The result is a saturated lattice (any
+integer solution of the constraint system is an integer combination of the
+returned rows), which is what makes reported ranks honest over Z rather than
+over Q.  `lattice_solve` reduces column by column to an integer echelon form.
 """
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 
 
-def _reduce(weights: List[int], *tables: List[List[int]]) -> Optional[int]:
-    """Reduce `weights` in place to at most one nonzero entry; return its index or None.
+def _reduce(weights: Dict[int, int], row_op: Callable[[int, int, int], None]) -> Optional[int]:
+    """Reduce the nonzero `weights` in place to one entry; return its row or None.
 
-    Each pass pivots on the nonzero weight of smallest absolute value (first
-    index on ties) and subtracts floor-quotient multiples of it from the other
-    weights.  Row i of every table gets the same operations as weights[i], so
-    the row lattice of each table is unchanged.
+    Each pass pivots on the weight of smallest absolute value (lowest row on
+    ties) and subtracts floor-quotient multiples of it from the other
+    weights; row_op(i, p, q) must subtract q times row p from row i, so the
+    row lattice is unchanged.
     """
-    while True:
-        nz = [i for i, w in enumerate(weights) if w]
-        if len(nz) <= 1:
-            return nz[0] if nz else None
-        piv = min(nz, key=lambda i: (abs(weights[i]), i))
+    while len(weights) > 1:
+        piv = min(weights, key=lambda i: (abs(weights[i]), i))
         wp = weights[piv]
-        for i in nz:
-            if i == piv:
-                continue
+        for i in [i for i in weights if i != piv]:
             q = weights[i] // wp
-            if q:
-                weights[i] -= q * wp
-                for t in tables:
-                    t[i] = [a - q * b for a, b in zip(t[i], t[piv])]
+            row_op(i, piv, q)
+            w = weights[i] - q * wp
+            if w:
+                weights[i] = w
+            else:
+                del weights[i]
+    return next(iter(weights), None)
 
 
 def _constraint_items(con, dim: int):
     if isinstance(con, dict):
+        for j in con:
+            if not 0 <= j < dim:
+                raise DomainError(f"constraint index {j} out of range 0..{dim - 1}")
         return [(j, c) for j, c in con.items() if c]
     if len(con) != dim:
         raise DomainError(f"constraint has length {len(con)}, expected {dim}")
@@ -53,22 +56,41 @@ def _constraint_items(con, dim: int):
 def kernel_basis(constraints: Iterable, dim: int) -> List[Tuple[int, ...]]:
     """Basis of {v in Z^dim : con . v = 0 for all constraints}.
 
-    Constraints are dense sequences or sparse {index: coeff} dicts.
-    Deterministic: reduction always pivots on the entry of smallest
-    absolute value, first index on ties.
+    Constraints are dense sequences or sparse {index: coeff} dicts, read
+    once.  Row i starts as the i-th unit vector in slot i; `cols[j]` holds
+    the live slots with a nonzero entry in column j, so a constraint costs
+    only the rows that meet its support.  Deterministic: reduction pivots
+    on the weight of smallest absolute value, lowest slot on ties, and an
+    emptied slot keeps the order of the others.
     """
     if dim < 0:
         raise DomainError(f"dimension must be >= 0, got {dim}")
-    basis = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    rows: List[Optional[Dict[int, int]]] = [{i: 1} for i in range(dim)]
+    cols = [{i} for i in range(dim)]
+
+    def row_op(i, p, q):
+        row = rows[i]
+        for j, b in rows[p].items():
+            v = row.get(j, 0) - q * b
+            if v:
+                row[j] = v
+                cols[j].add(i)
+            else:  # q != 0, so row i held j
+                del row[j]
+                cols[j].remove(i)
+
     for con in constraints:
-        items = _constraint_items(con, dim)
-        if not items:
-            continue
-        weights = [sum(row[j] * c for j, c in items) for row in basis]
-        last = _reduce(weights, basis)
-        if last is not None:
-            del basis[last]
-    return [tuple(row) for row in basis]
+        weights: Dict[int, int] = {}
+        for j, c in _constraint_items(con, dim):
+            for s in cols[j]:
+                weights[s] = weights.get(s, 0) + rows[s][j] * c
+        weights = {s: w for s, w in weights.items() if w}
+        if weights:
+            last = _reduce(weights, row_op)
+            for j in rows[last]:
+                cols[j].remove(last)
+            rows[last] = None
+    return [tuple(row.get(j, 0) for j in range(dim)) for row in rows if row is not None]
 
 
 def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Optional[List[int]]:
@@ -86,11 +108,16 @@ def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Optio
     k = len(rows)
     # track[i] holds rows[i] as a combination of the original rows
     track = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+    def row_op(i, p, q):
+        for t in (rows, track):
+            t[i] = [a - q * b for a, b in zip(t[i], t[p])]
+
     pivots = []
     r = 0
     for col in range(dim):
-        # rows above r already hold pivots; zero weights keep them out
-        i0 = _reduce([0] * r + [rows[i][col] for i in range(r, k)], rows, track)
+        # rows above r already hold pivots and stay out of the weights
+        i0 = _reduce({i: rows[i][col] for i in range(r, k) if rows[i][col]}, row_op)
         if i0 is None:
             continue
         rows[r], rows[i0] = rows[i0], rows[r]

@@ -106,20 +106,20 @@ def satisfies_braid_equation(rho: SetSolution) -> LawCheck:
     """
     m = rho.m
     P = rho.pairs
-
-    def r12(t):
-        u = P[(t[0] - 1) * m + (t[1] - 1)]
-        return (u[0], u[1], t[2])
-
-    def r23(t):
-        u = P[(t[1] - 1) * m + (t[2] - 1)]
-        return (t[0], u[0], u[1])
-
+    # rows[a][b] = rho(a, b), 1-based through a dummy entry in front
+    rows = [()] + [(None,) + P[i:i + m] for i in range(0, m * m, m)]
     for a in range(1, m + 1):
+        ra = rows[a]
         for b in range(1, m + 1):
+            u1, u2 = ra[b]                      # rho^12: (u1, u2, c)
+            r_u1, r_u2, rb = rows[u1], rows[u2], rows[b]
             for c in range(1, m + 1):
-                t = (a, b, c)
-                if r12(r23(r12(t))) != r23(r12(r23(t))):
+                v1, v2 = r_u2[c]                # rho^23 rho^12: (u1, v1, v2)
+                w1, w2 = r_u1[v1]               # left side: (w1, w2, v2)
+                p1, p2 = rb[c]                  # rho^23: (a, p1, p2)
+                q1, q2 = ra[p1]                 # rho^12 rho^23: (q1, q2, p2)
+                s1, s2 = rows[q2][p2]           # right side: (q1, s1, s2)
+                if w1 != q1 or w2 != s1 or v2 != s2:
                     return LawCheck(False, (a, b, c))
     return LawCheck(True, None)
 

@@ -1,5 +1,6 @@
 """Boundaries, homotopies, cocycle spaces, the psi basis."""
 
+import random
 from itertools import product
 
 import pytest
@@ -39,6 +40,44 @@ def small_magmas():
     yield laver.build_laver_table(1).as_magma()
     yield A2
     yield magma.from_rows([[1, 1], [2, 2]])  # left projection x*y = x
+
+
+def boundary_constraints(M, degree):
+    """Reference rows: each rack boundary through `boundary`, then flattened."""
+    m = M.m
+    for tup in product(range(1, m + 1), repeat=degree + 1):
+        row = {}
+        for face, c in homology.boundary(M, "rack", tup).items():
+            j = homology._flat(m, face)
+            v = row.get(j, 0) + c
+            if v:
+                row[j] = v
+            else:
+                row.pop(j, None)
+        if row:
+            yield row
+
+
+def constraint_magmas():
+    rng = random.Random(7)
+    yield from (laver.build_laver_table(n).as_magma() for n in range(5))
+    yield from (magma.dihedral_quandle(k) for k in (3, 5, 7))
+    yield from (magma.affine_quandle(5, 2), magma.affine_quandle(7, 3))
+    for m in (1, 2, 3, 4, 5, 6):
+        # arbitrary tables: the rows do not assume left distributivity
+        yield magma.from_rows([[rng.randint(1, m) for _ in range(m)] for _ in range(m)])
+
+
+def test_cocycle_constraints_match_boundary_reference():
+    for M in constraint_magmas():
+        for degree in (1, 2, 3):
+            if M.m ** (degree + 1) > 4096:
+                continue
+            got = list(homology._cocycle_constraints(M, degree))
+            want = list(boundary_constraints(M, degree))
+            assert got == want
+            # same entries in the same order, zero coefficients dropped
+            assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
 
 def test_face_ops():

@@ -77,6 +77,68 @@ def recheck_braid_triple(rho, a, b, c):
     return r12(r23(r12((a, b, c)))), r23(r12(r23((a, b, c))))
 
 
+def tuple_braid_check(rho):
+    """Reference scan: both composites as 3-tuples, triple by triple."""
+    m = rho.m
+    P = rho.pairs
+
+    def r12(t):
+        u = P[(t[0] - 1) * m + (t[1] - 1)]
+        return (u[0], u[1], t[2])
+
+    def r23(t):
+        u = P[(t[1] - 1) * m + (t[2] - 1)]
+        return (t[0], u[0], u[1])
+
+    for t in product(range(1, m + 1), repeat=3):
+        if r12(r23(r12(t))) != r23(r12(r23(t))):
+            return magma.LawCheck(False, t)
+    return magma.LawCheck(True, None)
+
+
+def pseudo_solutions(rng, count):
+    """Random pair maps, and rack solutions with a few entries overwritten
+    so that the first failure can sit anywhere in the scan."""
+    for _ in range(count):
+        m = rng.randint(1, 7)
+        if rng.random() < 0.3:
+            yield ybe.SetSolution(m, tuple((rng.randint(1, m), rng.randint(1, m))
+                                           for _ in range(m * m)))
+            continue
+        base = rng.choice((magma.dihedral_quandle(m), right_projection(m),
+                           random_magma(rng, m)))
+        pairs = list(ybe.rack_to_solution(base).pairs)
+        for _ in range(rng.randint(0, 2)):
+            pairs[rng.randrange(m * m)] = (rng.randint(1, m), rng.randint(1, m))
+        yield ybe.SetSolution(m, tuple(pairs))
+
+
+def test_braid_equation_matches_tuple_reference():
+    rng = random.Random(409)
+    outcomes = set()
+    for rho in pseudo_solutions(rng, 400):
+        check = ybe.satisfies_braid_equation(rho)
+        assert check == tuple_braid_check(rho)
+        outcomes.add(check.ok)
+    assert outcomes == {True, False}
+
+
+def test_braid_equation_matches_tuple_reference_on_benchmark_tables():
+    # the table sizes of the racks benchmark, with other seeds
+    rng = random.Random(27)
+    tables = [laver_magma(n) for n in range(1, 6)]
+    tables += [magma.dihedral_quandle(k) for k in (5, 9, 15, 27)]
+    tables += [magma.affine_quandle(m, t) for m, t in ((7, 3), (11, 2), (13, 5))]
+    for m in (12, 20, 28):
+        pi = list(range(1, m + 1))
+        rng.shuffle(pi)
+        tables.append(magma.from_rows([pi] * m))
+    tables += [random_magma(rng, m) for m in (6, 8, 10, 12)]
+    for M in tables:
+        rho = ybe.rack_to_solution(M)
+        assert ybe.satisfies_braid_equation(rho) == tuple_braid_check(rho)
+
+
 def test_solution_validation():
     with pytest.raises(DomainError):
         ybe.SetSolution(2, ((1, 1),) * 3)
