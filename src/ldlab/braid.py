@@ -11,7 +11,8 @@ their results through the unchecked ``_nf``.  All values are immutable.
 The kernels work a simple at a time (Epstein et al., *Word Processing in
 Groups*, 1992, ch. 9): `_normalize` takes each simple in with one
 right-to-left pass, a left division by a simple rewrites the head only,
-and gcds and parabolic divisors are peeled off as meets of heads.
+and gcds are peeled off as meets of heads.  So are parabolic right
+divisors, off a reversal, which a splitting carries from level to level.
 `inverse` is the closed form of El-Rifai and Morton (Q. J. Math. 45,
 1994), left-weighted as it stands.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -439,27 +440,36 @@ def _left_divide_simple(p: Perm, z: Braid) -> Optional[Braid]:
     return _nf(n, d, fs)
 
 
-def _strip_parabolic(b: Braid, k: int) -> Tuple[Braid, Braid]:
-    """(d, b . d^-1) for d the largest right-divisor of a positive b in
-    sigma_1 .. sigma_{k-1}.
+def _peel_parabolic(r: Braid, k: int) -> Tuple[List[Perm], Braid]:
+    """(simples, rest) with r = s_1 ... s_m . rest and s_1 ... s_m the
+    largest left divisor of a positive r in sigma_1 .. sigma_{k-1}.
 
-    The right divisors of b are the reversals of the left divisors of
-    r = _rev(b).  The parabolic submonoid is Garside with Garside element
-    Delta_k, so its largest left divisor of r is peeled a simple at a time:
-    gcd(r, Delta_k), the meet of Delta_k and the head of r, which sorts the
-    head's first k entries.  d is the product of the reversed simples.
+    The parabolic submonoid is Garside with Garside element Delta_k, so
+    the divisor is peeled a simple at a time as gcd(r, Delta_k), the meet
+    of Delta_k and the head of r, which sorts the head's first k entries.
+    On a reversal r = _rev(b) this strips b's largest parabolic right
+    divisor, and _rev(rest) = b . divisor^-1.  rev and flip act letter by
+    letter, so they commute: flip(_rev(rest)), the next braid of a
+    splitting, has the reversal flip(rest), with nothing normalised.
     """
-    n = b.n
+    n = r.n
     dk = w0_perm(k) + identity_perm(n)[k:]
-    r = _rev(b)
     peeled = []
     while True:
         p = _meet(_head(r), dk)
         if p == identity_perm(n):
-            d, fs = _normalize(n, [perm_inv(s) for s in reversed(peeled)])
-            return _nf(n, d, fs), _rev(r)
+            return peeled, r
         peeled.append(p)
         r = _left_divide_simple(p, r)
+
+
+def _strip_parabolic(b: Braid, k: int) -> Tuple[Braid, Braid]:
+    """(d, b . d^-1) for d the largest right-divisor of a positive b in
+    sigma_1 .. sigma_{k-1}: the peel of _rev(b), with d the product of
+    the reversed simples."""
+    peeled, rest = _peel_parabolic(_rev(b), k)
+    d, fs = _normalize(b.n, [perm_inv(s) for s in reversed(peeled)])
+    return _nf(b.n, d, fs), _rev(rest)
 
 
 def max_right_divisor_in_parabolic(b, k: int) -> Braid:

@@ -69,15 +69,16 @@ class SplittingSeq:
         return out
 
 
-def _split_step(cur: br.Braid, n: int) -> Tuple[br.Braid, Optional[br.Braid]]:
-    """The entry stripped off the right of a positive braid of B_n, and the
-    flipped remainder that the splitting continues on (None when empty).
+def _split_step(r: br.Braid, n: int) -> Tuple[br.Braid, Optional[br.Braid]]:
+    """For r the reversal of a positive braid b of B_n: the entry stripped
+    off the right of b, and the reversal of the flipped remainder that the
+    splitting continues on (None when empty).
 
-    The divisor's factors fix strand n, so the entry's are the same
-    permutations less their last entry, with leading Delta_{n-1}s counted.
+    The peeled simples fix strand n: the entry is their inverses in reverse
+    order less their last entry, normalised once, on n - 1 strands.
     """
-    div, rest = br._strip_parabolic(cur, n - 1)
-    d, fs = br._normalize(n - 1, tuple(f[:-1] for f in div.factors))
+    peeled, rest = br._peel_parabolic(r, n - 1)
+    d, fs = br._normalize(n - 1, [br.perm_inv(s)[:-1] for s in reversed(peeled)])
     return br._nf(n - 1, d, fs), None if rest.is_trivial else br.flip(rest)
 
 
@@ -85,14 +86,14 @@ def splitting(beta, n: int) -> SplittingSeq:
     """Strip maximal parabolic right-divisors, flipping the remainder."""
     if n < 3:
         raise DomainError(f"splittings need n >= 3, got {n}")
-    cur = br.embed(br._lift(beta), n)
-    if cur.inf < 0:
+    r = br._rev(br.embed(br._lift(beta), n))
+    if r.inf < 0:
         raise DomainError("splitting needs a positive braid")
-    rev: List[br.Braid] = []
-    while cur is not None:
-        entry, cur = _split_step(cur, n)
-        rev.append(entry)
-    return SplittingSeq(n, tuple(reversed(rev)))
+    entries: List[br.Braid] = []
+    while r is not None:
+        entry, r = _split_step(r, n)
+        entries.append(entry)
+    return SplittingSeq(n, tuple(reversed(entries)))
 
 
 def is_normal(seq: SplittingSeq) -> bool:
@@ -119,10 +120,12 @@ def _flipped_keys(n: int) -> Callable[[br.Braid], Any]:
     """`flipped_key` on positive braids of B_n, as a function that keeps
     one memo over all its calls.
 
-    The memo maps every braid met to the keys of its splitting entries.
-    As splitting(b) = splitting(flip(rest)) + (entry,), braids sharing a
-    remainder, such as the members of one conjugacy class, split it once.
-    One sub-keyer, with its own memo, keys the entries on n - 1 strands.
+    The memo is keyed by reversals: it maps the reversal of every braid
+    met to the keys of its splitting entries, and each braid is reversed
+    once on the way in.  As splitting(b) = splitting(flip(rest)) +
+    (entry,) and reversal is a bijection, braids sharing a remainder, such
+    as the members of one conjugacy class, split it once.  One sub-keyer,
+    with its own memo, keys the entries on n - 1 strands.
     """
     if n < 3:
         if n == 2:
@@ -134,13 +137,14 @@ def _flipped_keys(n: int) -> Callable[[br.Braid], Any]:
     def key(b: br.Braid):
         chain = []
         keys: Tuple[Any, ...] = ()
-        while b is not None:
-            if b in memo:
-                keys = memo[b]
+        r = br._rev(b)
+        while r is not None:
+            if r in memo:
+                keys = memo[r]
                 break
-            entry, rest = _split_step(b, n)
-            chain.append((b, sub(entry)))
-            b = rest
+            entry, rest = _split_step(r, n)
+            chain.append((r, sub(entry)))
+            r = rest
         for c, k in reversed(chain):
             keys += (k,)
             memo[c] = keys
@@ -161,7 +165,7 @@ def flipped_key(beta, n: int):
     b = br._lift(beta)
     if b.inf < 0:
         raise DomainError("the flipped order needs positive braids")
-    return _flipped_keys(n)(b if n == 2 else br.embed(b, n))
+    return _flipped_keys(n)(br.embed(b, n))
 
 
 def compare_flipped(beta, beta2, n: int) -> str:
@@ -322,6 +326,7 @@ def alternating_normal_form(beta, n: int) -> br.BraidWord:
     b = br._lift(beta)
     if b.inf < 0:
         raise DomainError("normal form needs a positive braid")
+    b = b if b.n == n else br.embed(b, n)
     if n == 2:
         return br.BraidWord(2, (1,) * br.braid_length(b))
     seq = splitting(b, n)

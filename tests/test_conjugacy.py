@@ -31,19 +31,6 @@ def _classes(n, max_len):
             yield x, cls
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper counting its calls; returns [count]."""
-    count = [0]
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        count[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return count
-
-
 # mu on the alternating normal forms of every braid of rank up to w^3+2,
 # (input letters, expected mu letters); None marks a fixed point.
 MU_TABLE = [
@@ -271,11 +258,11 @@ def test_simple_list_respects_memory_cap(monkeypatch):
     assert len(cj.positive_conjugates("1", 5)) == 4
 
 
-def test_enumeration_mul_count_is_pinned(monkeypatch):
+def test_enumeration_mul_count_is_pinned(count_calls):
     # a machine-independent cost: 29,728 products with the all-simples search
     # and a per-member splitting, 12,848 on flip orbits with a shared key memo
     braids = [W(w) for w in itertools.product((1, 2), repeat=6)]
-    calls = count_calls(monkeypatch, br, "mul")
+    calls = count_calls(br, "mul")
     for b in braids:
         cj.positive_conjugates(b)
         cj.mu(b)
@@ -309,8 +296,8 @@ def test_flipped_sandwich_variant_holds_up_to_length_4():
         assert br.equal(lhs, rhs), letters_of(b)
 
 
-def test_sweep_enumerates_two_classes_per_row(monkeypatch):
-    calls = count_calls(monkeypatch, cj, "positive_conjugates")
+def test_sweep_enumerates_two_classes_per_row(count_calls):
+    calls = count_calls(cj, "positive_conjugates")
     rows = cj.sweep_mu_delta(4)
     assert len(rows) == 26 and calls[0] == 52
 

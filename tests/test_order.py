@@ -5,9 +5,11 @@ braids given by their alternating normal words; it doubles as the oracle
 for the two-implementation agreement test (ordinal comparison of ranks
 versus the splitting comparison).  `pairwise_compare_flipped` is the
 recursive pairwise comparison that `flipped_key` replaced, kept as the
-reference for the key.
+reference for the key; `probing_splitting` is a reference for the
+splitting itself that never reverses a braid.
 """
 
+import itertools
 import random
 
 import pytest
@@ -78,6 +80,26 @@ def pairwise_compare_flipped(beta, beta2, n):
     return "="
 
 
+def probing_splitting(x, n):
+    """Reference: the splitting entries of a positive x, stripping each
+    sigma_i (i < n - 1) that a right_divides probe finds, by a multiply by
+    its inverse, then flipping the remainder."""
+    entries = []
+    while True:
+        letters = []
+        while True:
+            i = next((i for i in range(1, n - 1)
+                      if br.right_divides(br.sigma(n, i), x)), None)
+            if i is None:
+                break
+            x = br.mul(x, br.inverse(br.sigma(n, i)))
+            letters.insert(0, i)
+        entries.insert(0, b(n - 1, *letters))
+        if x.is_trivial:
+            return tuple(entries)
+        x = br.flip(x)
+
+
 # ---------------------------------------------------------------------------
 # sigma-positive words
 
@@ -116,6 +138,31 @@ def test_splitting_recomposes_and_is_normal():
         assert od.is_normal(seq)
 
 
+@pytest.mark.parametrize("n,maxlen", [(3, 6), (4, 5)])
+def test_splitting_matches_probing_reference(n, maxlen):
+    for length in range(maxlen + 1):
+        for w in itertools.product(range(1, n), repeat=length):
+            x = b(n, *w)
+            assert od.splitting(x, n).entries == probing_splitting(x, n), w
+
+
+def test_splitting_work_is_pinned(count_calls):
+    # one reversal per splitting and per key, carried down the levels; a
+    # strip that reverses on the way in and out at every level, and
+    # normalises each entry twice, makes 876 _rev and 2,506 _normalize
+    # calls here
+    b3, b4 = ([x for _, x in br.positive_braids_up_to(n, k)] for n, k in ((3, 6), (4, 4)))
+    revs, norms = count_calls(br, "_rev"), count_calls(br, "_normalize")
+    for x in b3:
+        od.splitting(x, 3)
+        od.flipped_key(x, 3)
+    assert revs[0] == 2 * len(b3)
+    assert 0 < norms[0] <= 1350
+    for x in b4:
+        od.splitting(x, 4)
+    assert revs[0] == 2 * len(b3) + len(b4)
+
+
 def test_is_normal_rejects():
     s1 = br.delta(2)
     bad = od.SplittingSeq(3, (s1, s1, s1, br.identity(2)))
@@ -146,6 +193,16 @@ def test_flipped_key_matches_pairwise_reference(n, maxlen):
             ref = pairwise_compare_flipped(x, y, n)
             assert od.compare_flipped(x, y, n) == ref
             assert ("<" if kx < ky else ">" if kx > ky else "=") == ref
+
+
+def test_two_strand_order_rejects_braids_on_more_strands():
+    # sigma_1 sigma_2 does not lie in B_2, so its length alone must not key it
+    with pytest.raises(DomainError):
+        od.compare_flipped(b(3, 1, 2), b(3, 2, 1), 2)
+    with pytest.raises(DomainError):
+        od.alternating_normal_form(b(3, 1, 2), 2)
+    assert od.flipped_key(b(3, 1, 1), 2) == 2
+    assert od.alternating_normal_form(b(3, 1, 1), 2).letters == (1, 1)
 
 
 def test_flipped_key_rejects_negative_braids():
