@@ -14,9 +14,17 @@ rule f(x,z) + f(x*y, x*z) = f(y,z) + f(x, y*z).
 
 Cochain spaces are handled exactly over Z: two_cocycle_space returns a
 saturated basis of the kernel lattice, so its length is the honest rank.
+
+`_cocycle_constraints` is the one coboundary matrix: the dual of delR,
+built by index arithmetic.  `cocycle_space` passes its non-empty rows to the
+kernel, `is_two_cocycle` and `is_three_cocycle` look for the first row that
+pairs non-zero with a cochain, `coboundary_of` pairs a cochain with every
+row, and `coboundary_preimage` reads its columns from it.  `boundary` stays
+as the chain-level map; tests check the matrix against it.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -108,8 +116,6 @@ def theta_prime(M: FiniteMagma, arg) -> Chain:
 def contracting_homotopy_check(M: FiniteMagma, kmax: int) -> bool:
     """theta del + del theta = id on every basis tuple of degree <= kmax,
     for both homotopies, del = del*."""
-    from itertools import product
-
     for k in range(0, kmax + 1):
         tuples = [()] if k == 0 else product(range(1, M.m + 1), repeat=k)
         for tup in tuples:
@@ -138,6 +144,9 @@ class Cochain:
     values: tuple
 
     def __post_init__(self):
+        if self.m < 1 or self.degree < 0:
+            raise DomainError(f"cochain needs m >= 1 and degree >= 0, got m = {self.m}, "
+                              f"degree = {self.degree}")
         if len(self.values) != self.m ** self.degree:
             raise DomainError(f"cochain needs {self.m ** self.degree} values, got {len(self.values)}")
 
@@ -157,8 +166,6 @@ class Cochain:
 
 
 def cochain_from_function(M: FiniteMagma, degree: int, fn) -> Cochain:
-    from itertools import product
-
     guard_alloc(8 * M.m ** degree, f"degree-{degree} cochain on {M.m} elements")
     vals = [fn(*tup) for tup in product(range(1, M.m + 1), repeat=degree)]
     return Cochain(M.m, degree, tuple(vals))
@@ -170,61 +177,47 @@ def evaluate_on_chain(f: Cochain, chain: Chain) -> int:
 
 def coboundary_of(M: FiniteMagma, f: Cochain) -> Cochain:
     """(delta f)(x_vec) = f(delR(x_vec)): degree goes up by one."""
-    from itertools import product
-
+    if f.m != M.m:
+        raise DomainError(f"need a cochain over the same carrier, got {f.m} elements for {M.m}")
     k = f.degree + 1
     guard_alloc(8 * M.m ** k, f"degree-{k} cochain on {M.m} elements")
-    vals = [evaluate_on_chain(f, boundary(M, "rack", tup))
-            for tup in product(range(1, M.m + 1), repeat=k)]
+    vals = [sum(c * f.values[j] for j, c in row.items())
+            for row in _cocycle_constraints(M, f.degree)]
     return Cochain(M.m, k, tuple(vals))
+
+
+def _cocycle_check(f: Cochain, M: FiniteMagma, degree: int) -> LawCheck:
+    """The first (degree+1)-tuple t, in product order, with f(delR(t)) != 0."""
+    if f.degree != degree or f.m != M.m:
+        raise DomainError(f"need a degree-{degree} cochain over the same carrier")
+    tuples = product(range(1, M.m + 1), repeat=degree + 1)
+    for tup, row in zip(tuples, _cocycle_constraints(M, degree)):
+        if sum(c * f.values[j] for j, c in row.items()):
+            return LawCheck(False, tup)
+    return LawCheck(True, None)
 
 
 def is_two_cocycle(f: Cochain, M: FiniteMagma) -> LawCheck:
     """f(x,z) + f(x*y, x*z) = f(y,z) + f(x, y*z) on all triples."""
-    if f.degree != 2 or f.m != M.m:
-        raise DomainError("need a degree-2 cochain over the same carrier")
-    for x in range(1, M.m + 1):
-        for y in range(1, M.m + 1):
-            xy = M.mul(x, y)
-            for z in range(1, M.m + 1):
-                if f(x, z) + f(xy, M.mul(x, z)) != f(y, z) + f(x, M.mul(y, z)):
-                    return LawCheck(False, (x, y, z))
-    return LawCheck(True, None)
+    return _cocycle_check(f, M, 2)
 
 
 def is_three_cocycle(f: Cochain, M: FiniteMagma) -> LawCheck:
     """f(x*y,x*z,x*t) + f(x,y,z*t) + f(x,z,t) = f(x,y*z,y*t) + f(y,z,t) + f(x,y,t)."""
-    if f.degree != 3 or f.m != M.m:
-        raise DomainError("need a degree-3 cochain over the same carrier")
-    m = M.m
-    for x in range(1, m + 1):
-        for y in range(1, m + 1):
-            xy = M.mul(x, y)
-            yx_row = [M.mul(y, w) for w in range(1, m + 1)]
-            x_row = [M.mul(x, w) for w in range(1, m + 1)]
-            for z in range(1, m + 1):
-                for t in range(1, m + 1):
-                    lhs = (f(xy, x_row[z - 1], x_row[t - 1]) + f(x, y, M.mul(z, t))
-                           + f(x, z, t))
-                    rhs = (f(x, yx_row[z - 1], yx_row[t - 1]) + f(y, z, t)
-                           + f(x, y, t))
-                    if lhs != rhs:
-                        return LawCheck(False, (x, y, z, t))
-    return LawCheck(True, None)
+    return _cocycle_check(f, M, 3)
 
 
 def _cocycle_constraints(M: FiniteMagma, degree: int):
     """Sparse rows of the dual rack-boundary map on degree-`degree` cochains.
 
     One row per tuple t = (t_0, ..., t_k), k = degree, with 0-based entries,
-    in product order.  Writing [u_1..u_r] for the base-m number with those
-    digits, face i of t (sign (-1)^i) has the flat index
+    in product order; a row whose faces cancel is yielded empty, so the i-th
+    row belongs to the i-th tuple.  Writing [u_1..u_r] for the base-m number
+    with those digits, face i of t (sign (-1)^i) has the flat index
     [t_0..t_{i-1}] * m^(k-i) + [t_i*t_{i+1}, ..., t_i*t_k] for d*_i, and
     d0_i is d*_i for x*y = y.  The d* faces enter before the d0 faces, as
     in `boundary`, so the rows match its rows entry for entry.
     """
-    from itertools import product
-
     m = M.m
     op = [[y - 1 for y in row] for row in M.op]
     trivial = [list(range(m))] * m
@@ -238,15 +231,17 @@ def _cocycle_constraints(M: FiniteMagma, degree: int):
                     tail = tail * m + rx[y]
                 _add(row, head * m ** (degree - i) + tail, sign)
                 head, sign = head * m + x, -sign
-        if row:
-            yield row
+        yield row
 
 
 def cocycle_space(M: FiniteMagma, degree: int) -> Tuple[int, List[Cochain]]:
     """Saturated Z-basis of the degree-`degree` rack cocycles."""
+    if degree < 0:
+        raise DomainError(f"cocycle degree must be >= 0, got {degree}")
     dim = M.m ** degree
     guard_alloc(8 * dim * dim, f"cocycle kernel in dimension {dim}")
-    basis = linalg.kernel_basis(_cocycle_constraints(M, degree), dim)
+    rows = (row for row in _cocycle_constraints(M, degree) if row)
+    basis = linalg.kernel_basis(rows, dim)
     return len(basis), [Cochain(M.m, degree, row) for row in basis]
 
 
@@ -280,16 +275,18 @@ def psi(q: int, n: int) -> Cochain:
 
 def coboundary_preimage(M: FiniteMagma, f: Cochain) -> Optional[Cochain]:
     """A degree-(k-1) integral cochain g with delta(g) = f, when one exists."""
-    from itertools import product
-
-    k = f.degree
-    low = k - 1
-    dim_low = M.m ** low
+    if f.degree < 1:
+        raise DomainError(f"a coboundary has degree >= 1, got {f.degree}")
+    if f.m != M.m:
+        raise DomainError(f"need a cochain over the same carrier, got {f.m} elements for {M.m}")
+    low = f.degree - 1
+    dim_low, dim = M.m ** low, M.m ** f.degree
+    guard_alloc(8 * dim_low * dim, f"degree-{low} coboundary matrix on {M.m} elements")
     # column j of the coboundary matrix = delta(indicator of basis tuple j)
-    columns = []
-    for j in range(dim_low):
-        g = Cochain(M.m, low, tuple(1 if i == j else 0 for i in range(dim_low)))
-        columns.append(coboundary_of(M, g).values)
+    columns = [[0] * dim for _ in range(dim_low)]
+    for i, row in enumerate(_cocycle_constraints(M, low)):
+        for j, c in row.items():
+            columns[j][i] = c
     coeffs = linalg.lattice_solve(columns, f.values)
     if coeffs is None:
         return None

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from ldlab.errors import DomainError
+from ldlab.errors import DomainError, ResourceError
 from ldlab import homology, laver, linalg, magma
 
 A2 = laver.build_laver_table(2).as_magma()
@@ -43,7 +43,8 @@ def small_magmas():
 
 
 def boundary_constraints(M, degree):
-    """Reference rows: each rack boundary through `boundary`, then flattened."""
+    """Reference rows: each rack boundary through `boundary`, then flattened;
+    one row per tuple, empty ones included."""
     m = M.m
     for tup in product(range(1, m + 1), repeat=degree + 1):
         row = {}
@@ -54,8 +55,56 @@ def boundary_constraints(M, degree):
                 row[j] = v
             else:
                 row.pop(j, None)
-        if row:
-            yield row
+        yield row
+
+
+def reference_coboundary(M, f):
+    """delta f through `boundary`: f evaluated on the rack boundary of each tuple."""
+    vals = [homology.evaluate_on_chain(f, homology.boundary(M, "rack", tup))
+            for tup in product(range(1, M.m + 1), repeat=f.degree + 1)]
+    return homology.Cochain(M.m, f.degree + 1, tuple(vals))
+
+
+def reference_preimage(M, f):
+    """Columns delta(indicator of tuple j) through `reference_coboundary`."""
+    low = f.degree - 1
+    dim_low = M.m ** low
+    columns = []
+    for j in range(dim_low):
+        g = homology.Cochain(M.m, low, tuple(1 if i == j else 0 for i in range(dim_low)))
+        columns.append(reference_coboundary(M, g).values)
+    coeffs = linalg.lattice_solve(columns, f.values)
+    return None if coeffs is None else homology.Cochain(M.m, low, tuple(coeffs))
+
+
+def reference_two_cocycle(f, M):
+    """The 2-cocycle law written out triple by triple."""
+    for x in range(1, M.m + 1):
+        for y in range(1, M.m + 1):
+            xy = M.mul(x, y)
+            for z in range(1, M.m + 1):
+                if f(x, z) + f(xy, M.mul(x, z)) != f(y, z) + f(x, M.mul(y, z)):
+                    return magma.LawCheck(False, (x, y, z))
+    return magma.LawCheck(True, None)
+
+
+def reference_three_cocycle(f, M):
+    """The six-term 3-cocycle law written out quadruple by quadruple."""
+    m = M.m
+    for x in range(1, m + 1):
+        for y in range(1, m + 1):
+            xy = M.mul(x, y)
+            yx_row = [M.mul(y, w) for w in range(1, m + 1)]
+            x_row = [M.mul(x, w) for w in range(1, m + 1)]
+            for z in range(1, m + 1):
+                for t in range(1, m + 1):
+                    lhs = (f(xy, x_row[z - 1], x_row[t - 1]) + f(x, y, M.mul(z, t))
+                           + f(x, z, t))
+                    rhs = (f(x, yx_row[z - 1], yx_row[t - 1]) + f(y, z, t)
+                           + f(x, y, t))
+                    if lhs != rhs:
+                        return magma.LawCheck(False, (x, y, z, t))
+    return magma.LawCheck(True, None)
 
 
 def constraint_magmas():
@@ -75,6 +124,7 @@ def test_cocycle_constraints_match_boundary_reference():
                 continue
             got = list(homology._cocycle_constraints(M, degree))
             want = list(boundary_constraints(M, degree))
+            assert len(got) == M.m ** (degree + 1)
             assert got == want
             # same entries in the same order, zero coefficients dropped
             assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
@@ -246,3 +296,99 @@ def test_three_cocycle_condition_matches_dual_boundary():
            + bad(x, z, t))
     rhs = (bad(x, M.mul(y, z), M.mul(y, t)) + bad(y, z, t) + bad(x, y, t))
     assert lhs != rhs
+
+
+def sample_cochains(rng, M, degree, count):
+    """Cocycles with up to two entries changed, so that the first failure can
+    sit anywhere in the scan, and some cochains with random entries."""
+    basis = homology.cocycle_space(M, degree)[1]
+    dim = M.m ** degree
+    for _ in range(count):
+        if rng.random() < 0.2:
+            vals = [rng.randint(-3, 3) for _ in range(dim)]
+        else:
+            vals = [0] * dim
+            for f in basis:
+                c = rng.randint(-2, 2)
+                vals = [v + c * b for v, b in zip(vals, f.values)]
+        for _ in range(rng.randint(0, 2)):
+            vals[rng.randrange(dim)] += rng.choice((-1, 1))
+        yield homology.Cochain(M.m, degree, tuple(vals))
+
+
+def test_cocycle_checks_match_written_out_laws():
+    rng = random.Random(1515)
+    laws = ((2, homology.is_two_cocycle, reference_two_cocycle),
+            (3, homology.is_three_cocycle, reference_three_cocycle))
+    outcomes = set()
+    for M in constraint_magmas():
+        for degree, law, reference in laws:
+            if M.m ** (degree + 1) > 1296:
+                continue
+            for f in sample_cochains(rng, M, degree, 12):
+                check = law(f, M)
+                assert check == reference(f, M)
+                outcomes.add((degree, check.ok))
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_coboundary_of_matches_boundary_reference():
+    rng = random.Random(1516)
+    for M in constraint_magmas():
+        for degree in (0, 1, 2, 3):
+            if M.m ** (degree + 1) > 1296:
+                continue
+            for _ in range(4):
+                vals = tuple(rng.randint(-3, 3) for _ in range(M.m ** degree))
+                f = homology.Cochain(M.m, degree, vals)
+                assert homology.coboundary_of(M, f) == reference_coboundary(M, f)
+
+
+def test_coboundary_preimage_matches_reference():
+    rng = random.Random(1517)
+    solvable = set()
+    for M in constraint_magmas():
+        for degree in (1, 2, 3):
+            if M.m ** (2 * degree - 1) > 4096:
+                continue
+            for _ in range(4):
+                g = tuple(rng.randint(-3, 3) for _ in range(M.m ** (degree - 1)))
+                f = list(reference_coboundary(M, homology.Cochain(M.m, degree - 1, g)).values)
+                for _ in range(rng.randint(0, 1)):
+                    f[rng.randrange(len(f))] += 1
+                f = homology.Cochain(M.m, degree, tuple(f))
+                got = homology.coboundary_preimage(M, f)
+                assert got == reference_preimage(M, f)
+                solvable.add(got is not None)
+    assert solvable == {True, False}
+
+
+def test_cochain_rejects_bad_carrier_and_degree():
+    for m, degree, values in ((1, -1, (5,)), (0, 0, (5,)), (0, 2, ())):
+        with pytest.raises(DomainError):
+            homology.Cochain(m, degree, values)
+
+
+def test_cocycle_space_and_preimage_reject_bad_degrees():
+    with pytest.raises(DomainError):
+        homology.cocycle_space(A2, -1)
+    with pytest.raises(DomainError):
+        homology.coboundary_preimage(magma.dihedral_quandle(3), homology.Cochain(3, 0, (1,)))
+
+
+def test_coboundaries_need_the_same_carrier():
+    d3 = magma.dihedral_quandle(3)
+    with pytest.raises(DomainError, match="same carrier"):
+        homology.coboundary_of(d3, homology.Cochain(4, 1, (0, 1, 2, 3)))
+    with pytest.raises(DomainError, match="same carrier"):
+        homology.coboundary_preimage(d3, homology.Cochain(4, 2, (0,) * 16))
+
+
+def test_coboundary_preimage_memory_guard(monkeypatch):
+    f = homology.psi(1, 3)
+    need = 8 * 8 * 64  # the dense 8 x 64 coboundary matrix on A_3
+    monkeypatch.setenv("LDLAB_MAX_MEM", str(need - 1))
+    with pytest.raises(ResourceError, match="coboundary matrix"):
+        homology.coboundary_preimage(A3, f)
+    monkeypatch.setenv("LDLAB_MAX_MEM", str(need))
+    assert homology.coboundary_preimage(A3, f) is not None

@@ -219,6 +219,89 @@ def test_is_invertible():
         assert ybe.is_invertible(sol) == magma.is_left_cancellative(M)
 
 
+def reference_birack_check(op1, op2):
+    """The three exchange laws written out triple by triple, then the
+    translation demands, each failure named as `birack_laws_check` names it."""
+    m = op1.m
+    L = op1.op
+    R = op2.op
+    for x in range(1, m + 1):
+        lx = L[x - 1]
+        rx = R[x - 1]
+        for y in range(1, m + 1):
+            xy_l = lx[y - 1]
+            xy_r = rx[y - 1]
+            l_xyl = L[xy_l - 1]
+            r_xyl = R[xy_l - 1]
+            l_xyr = L[xy_r - 1]
+            r_xyr = R[xy_r - 1]
+            ly = L[y - 1]
+            ry = R[y - 1]
+            for z in range(1, m + 1):
+                mid = l_xyr[z - 1]                      # (x<|y) |> z
+                yl = ly[z - 1]                          # y|>z
+                yr = ry[z - 1]                          # y<|z
+                xl = rx[yl - 1]                         # x <| (y|>z)
+                if l_xyl[mid - 1] != lx[yl - 1]:
+                    return ybe.BirackCheck(False, "exchange-1", (x, y, z))
+                if r_xyl[mid - 1] != L[xl - 1][yr - 1]:
+                    return ybe.BirackCheck(False, "exchange-2", (x, y, z))
+                if r_xyr[z - 1] != R[xl - 1][yr - 1]:
+                    return ybe.BirackCheck(False, "exchange-3", (x, y, z))
+    for x in range(1, m + 1):
+        row = L[x - 1]
+        if len(set(row)) != m:
+            seen = {}
+            for b, v in enumerate(row, start=1):
+                if v in seen:
+                    return ybe.BirackCheck(False, "left-translations", (x, seen[v], b))
+                seen[v] = b
+    for y in range(1, m + 1):
+        col = [R[x - 1][y - 1] for x in range(1, m + 1)]
+        if len(set(col)) != m:
+            seen = {}
+            for a, v in enumerate(col, start=1):
+                if v in seen:
+                    return ybe.BirackCheck(False, "right-translations", (seen[v], a, y))
+                seen[v] = a
+    return ybe.BirackCheck(True, None, None)
+
+
+def perturbed(rng, M):
+    """M with up to two entries overwritten."""
+    rows = [list(r) for r in M.op]
+    for _ in range(rng.randint(0, 2)):
+        rows[rng.randrange(M.m)][rng.randrange(M.m)] = rng.randint(1, M.m)
+    return magma.FiniteMagma(M.m, tuple(tuple(r) for r in rows))
+
+
+def op_pairs(rng, count):
+    """(|>, <|) pairs built from biracks with a few entries changed, so that
+    every exchange law and both translation demands fail somewhere."""
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        sol = rng.choice((ybe.identity_solution(m), ybe.switch_solution(m),
+                          ybe.rack_to_solution(magma.dihedral_quandle(m)),
+                          ybe.rack_to_solution(right_projection(m)),
+                          ybe.rack_to_solution(random_magma(rng, m))))
+        op1, op2 = ybe.solution_ops(sol)
+        yield perturbed(rng, op1), perturbed(rng, op2)
+
+
+def test_birack_laws_match_written_out_reference():
+    rng = random.Random(1515)
+    outcomes = set()
+    for op1, op2 in op_pairs(rng, 1500):
+        check = ybe.birack_laws_check(op1, op2)
+        want = reference_birack_check(op1, op2)
+        assert check == want  # ok, failure and witness
+        assert ybe.exchange_laws_hold(op1, op2) == (
+            want.ok or want.failure in ("left-translations", "right-translations"))
+        outcomes.add(check.failure)
+    assert outcomes == {None, "exchange-1", "exchange-2", "exchange-3",
+                        "left-translations", "right-translations"}
+
+
 def test_birack_laws_pinned():
     ok = ybe.birack_laws_check(magma.dihedral_quandle(3), ybe.first_projection(3))
     assert ok and ok.failure is None
