@@ -166,6 +166,8 @@ class Cochain:
 
 
 def cochain_from_function(M: FiniteMagma, degree: int, fn) -> Cochain:
+    if degree < 0:
+        raise DomainError(f"cochain degree must be >= 0, got {degree}")
     guard_alloc(8 * M.m ** degree, f"degree-{degree} cochain on {M.m} elements")
     vals = [fn(*tup) for tup in product(range(1, M.m + 1), repeat=degree)]
     return Cochain(M.m, degree, tuple(vals))

@@ -65,8 +65,7 @@ class LaverTable:
 
     def op(self, p: int, q: int) -> int:
         _check_range(p, self.size)
-        if q < 1:
-            raise DomainError(f"column index {q} out of range")
+        _check_range(q, self.size)
         prefix = self._prefixes[p - 1]
         return prefix[(q - 1) % len(prefix)]
 

@@ -10,7 +10,6 @@ value next to it as a known misprint (see that test's comment).
 import random
 from itertools import combinations, product
 
-import numpy as np
 import pytest
 
 from test_conjugacy import MU_TABLE
@@ -103,20 +102,15 @@ def test_c3_projection_exhaustive_small():
 
 
 def test_c3_projection_sampled_large():
-    rng = np.random.default_rng(20260816)
+    # every pair of A_6, A_7 and A_8 (86,016 pairs), row by row
     for n in (6, 7, 8):
         big = laver.build_laver_table(n)
-        small = laver.build_laver_table(n - 1)
-        T = np.array(big.dense(), dtype=np.int32)
-        S = np.array(small.dense(), dtype=np.int32)
-        proj = np.array([laver.project(n, x)
-                         for x in range(1, big.size + 1)], dtype=np.int32)
-        assert set(proj.tolist()) == set(range(1, small.size + 1))
-        p = rng.integers(1, big.size + 1, size=10 ** 6)
-        q = rng.integers(1, big.size + 1, size=10 ** 6)
-        lhs = proj[T[p - 1, q - 1] - 1]
-        rhs = S[proj[p - 1] - 1, proj[q - 1] - 1]
-        assert np.array_equal(lhs, rhs)
+        small = laver.build_laver_table(n - 1).dense()
+        proj = [laver.project(n, x) for x in range(1, big.size + 1)]
+        assert set(proj) == set(range(1, len(small) + 1))
+        for p, row in enumerate(big.dense()):
+            image = small[proj[p] - 1]
+            assert [proj[v - 1] for v in row] == [image[proj[q] - 1] for q in range(big.size)]
 
 
 def test_c3_caption_chain():

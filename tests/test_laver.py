@@ -136,8 +136,7 @@ def test_ld_dichotomy():
 
 
 def test_ld_witnesses_pinned():
-    # the lexicographically first failing triple, on both sides of the size
-    # (24) from which the scan goes through numpy
+    # the lexicographically first failing triple
     expected = {10: (1, 2, 3), 12: (3, 1, 4), 22: (2, 1, 2), 30: (3, 1, 2),
                 48: (3, 4, 13), 60: (3, 1, 4)}
     for N, witness in expected.items():
@@ -192,6 +191,8 @@ def test_input_validation():
         t.op(0, 1)
     with pytest.raises(DomainError):
         t.op(1, 0)
+    with pytest.raises(DomainError, match="out of range 1..4"):
+        t.op(1, 5)
     with pytest.raises(DomainError):
         laver.project(1, 3)
     with pytest.raises(DomainError):

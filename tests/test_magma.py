@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ldlab.errors import AmbiguousInverseError, DomainError, ResourceError
+from ldlab.errors import AmbiguousInverseError, DomainError
 from ldlab import laver, magma
 
 
@@ -29,36 +29,50 @@ def test_is_ld_witness():
     assert skew.mul(x, skew.mul(y, z)) != skew.mul(skew.mul(x, y), skew.mul(x, z))
 
 
-def test_numpy_and_loop_paths_agree():
+def reference_is_ld(M):
+    """The plain triple loop over x, y, z in lexicographic order."""
+    op = M.op
+    for x in range(1, M.m + 1):
+        rx = op[x - 1]
+        for y in range(1, M.m + 1):
+            ry = op[y - 1]
+            rxy = op[rx[y - 1] - 1]
+            for z in range(1, M.m + 1):
+                if rx[ry[z - 1] - 1] != rxy[rx[z - 1] - 1]:
+                    return magma.LawCheck(False, (x, y, z))
+    return magma.LawCheck(True, None)
+
+
+def test_is_ld_matches_reference():
     rng = random.Random(7)
-    for _ in range(20):
-        m = 4
-        rows = [[rng.randrange(1, m + 1) for _ in range(m)] for _ in range(m)]
-        M = magma.from_rows(rows)
-        big = magma.FiniteMagma(M.m, M.op)
-        loop = magma.is_ld(M)
-        forced = magma._NUMPY_CUTOFF
-        try:
-            magma._NUMPY_CUTOFF = 1
-            vec = magma.is_ld(big)
-        finally:
-            magma._NUMPY_CUTOFF = forced
-        assert loop.ok == vec.ok
-        # laver.is_ld_for_size returns whichever branch runs, so both must
-        # report the same (lexicographically first) failing triple
-        assert vec.witness == loop.witness
-        if not loop.ok:
-            x, y, z = vec.witness
-            assert M.mul(x, M.mul(y, z)) != M.mul(M.mul(x, y), M.mul(x, z))
+    tables = [magma.from_rows([[rng.randrange(1, m + 1) for _ in range(m)]
+                               for _ in range(m)])
+              for m in range(1, 41) for _ in range(3)]
+    for m in range(1, 41, 3):
+        pi = list(range(1, m + 1))
+        rng.shuffle(pi)
+        tables.append(magma.from_rows([pi] * m))
+    for k in range(2, 41, 2):
+        # one changed entry of a quandle: the first failure comes late
+        rows = [list(r) for r in magma.dihedral_quandle(k).op]
+        rows[rng.randrange(k)][rng.randrange(k)] = rng.randrange(1, k + 1)
+        tables.append(magma.from_rows(rows))
+    tables += [magma.dihedral_quandle(k) for k in range(24, 34)]
+    tables += [laver.build_general_table(N).as_magma() for N in range(18, 31)]
+    verdicts = set()
+    for M in tables:
+        check = magma.is_ld(M)
+        # laver.is_ld_for_size reports this witness, so it must be the
+        # lexicographically first failing triple
+        assert check == reference_is_ld(M)
+        verdicts.add(check.ok)
+    assert verdicts == {True, False}
 
 
-def test_numpy_scan_respects_memory_cap(monkeypatch):
-    # the numpy branch builds m**3 arrays; the loop branch allocates nothing
+def test_is_ld_allocates_no_cube(monkeypatch):
+    # the scan keeps one getter per row, nothing of size m**3
     monkeypatch.setenv("LDLAB_MAX_MEM", "100000")
-    assert magma._NUMPY_CUTOFF == 24
-    with pytest.raises(ResourceError, match="LDLAB_MAX_MEM"):
-        magma.is_ld(magma.dihedral_quandle(24))
-    assert magma.is_ld(magma.dihedral_quandle(23))
+    assert magma.is_ld(magma.dihedral_quandle(25))
 
 
 def test_laver_tables_are_not_racks():
