@@ -72,6 +72,8 @@ def _as_chain(arg) -> Chain:
 
 def boundary(M: FiniteMagma, kind: str, arg) -> Chain:
     """Boundary of a chain (or a single tuple); kind '*', '0', or 'rack'."""
+    if kind not in _KINDS and kind != "rack":
+        raise DomainError(f"boundary kind must be '*', '0' or 'rack', got {kind!r}")
     if kind == "rack":
         out = boundary(M, "*", arg)
         for tup, c in boundary(M, "0", arg).items():
@@ -96,6 +98,7 @@ def theta(M: FiniteMagma, arg) -> Chain:
     chain = _as_chain(arg)
     out: Chain = {}
     for tup, c in chain.items():
+        _check_tuple(M, tup)
         _add(out, (top,) + tup, c)
     return out
 
@@ -108,6 +111,7 @@ def theta_prime(M: FiniteMagma, arg) -> Chain:
     chain = _as_chain(arg)
     out: Chain = {}
     for tup, c in chain.items():
+        _check_tuple(M, tup)
         sign = 1 if len(tup) % 2 == 0 else -1
         _add(out, tup + (top,), sign * c)
     return out

@@ -10,13 +10,20 @@ other strand's colour; at a negative crossing it is divided by it:
 
 Dividing by the stationary colour is the only reading under which
 sigma_i sigma_i^{-1} fixes every vector.
+
+`_propagate` is the one place this rule is written.  Every action here
+hands it a multiplication and a division: table lookups, a backend's
+`mul`/`div`, formal quandle terms, or free-group conjugation.  A crossing
+is blocked when the product or quotient does not exist; the action then
+returns None.  A colour of a finite table is an int in 1..m (bools are not
+colours); anything else raises DomainError.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from . import braid
 from .errors import DomainError
 from .magma import (FiniteMagma, QuandleTerm, _gen_name, bar_term, gen,
                     is_ld, is_left_cancellative, is_rack, left_inverse_op,
@@ -24,53 +31,71 @@ from .magma import (FiniteMagma, QuandleTerm, _gen_name, bar_term, gen,
 
 
 def _letters(w, m: int) -> Tuple[int, ...]:
-    """Word letters validated against an m-strand diagram."""
-    if isinstance(w, braid.BraidWord):
-        letters = w.letters
-    else:
-        letters = tuple(w)
+    """Word letters (of a BraidWord or a plain sequence) validated against
+    an m-strand diagram."""
+    letters = tuple(getattr(w, "letters", w))
     for l in letters:
         if l == 0 or abs(l) > m - 1:
             raise DomainError(f"letter {l} out of range for {m} strands")
     return letters
 
 
-def _check_colours(M: FiniteMagma, colours) -> list:
+def _propagate(vec: list, letters, star: Callable, bar: Callable) -> Optional[tuple]:
+    """The Hurwitz action: sigma_i sends (a, b) on strands i, i+1 to
+    (star(a, b), a) and sigma_i^{-1} sends it to (b, bar(b, a)).
+
+    `vec` is consumed.  Returns None as soon as star or bar returns None.
+    """
+    for l in letters:
+        i = abs(l) - 1
+        a, b = vec[i], vec[i + 1]
+        a, b = (star(a, b), a) if l > 0 else (b, bar(b, a))
+        if a is None or b is None:
+            return None
+        vec[i], vec[i + 1] = a, b
+    return tuple(vec)
+
+
+def _positive_only(b, a):
+    """The bar of an action or sum defined on positive words only."""
+    raise DomainError("negative letter in a positive-only word")
+
+
+def _table_colours(M: FiniteMagma, colours) -> list:
     vec = list(colours)
     for v in vec:
-        if not 1 <= v <= M.m:
-            raise DomainError(f"colour {v} out of range 1..{M.m}")
+        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= M.m:
+            raise DomainError(f"colour {v!r} is not an element 1..{M.m}")
     return vec
+
+
+def _table_ops(M: FiniteMagma) -> Tuple[Callable, Callable]:
+    """star and bar of a table; bar raises AmbiguousInverseError on a row
+    that is not injective."""
+    op = M.op
+    return (lambda a, b: op[a - 1][b - 1]), partial(left_inverse_op, M)
 
 
 def act_positive(M: FiniteMagma, colours, w, checked: bool = True) -> tuple:
     """Propagate colours through a positive word; needs the LD law only."""
-    vec = _check_colours(M, colours)
+    vec = _table_colours(M, colours)
     letters = _letters(w, len(vec))
     if checked and not is_ld(M):
         raise DomainError("operation table is not left self-distributive")
-    for l in letters:
-        if l < 0:
-            raise DomainError(f"negative letter {l} in a positive-only action")
-        a, b = vec[l - 1], vec[l]
-        vec[l - 1], vec[l] = M.op[a - 1][b - 1], a
-    return tuple(vec)
+    return _propagate(vec, letters, _table_ops(M)[0], _positive_only)
 
 
-def act_full(M: FiniteMagma, colours, w, checked: bool = True) -> tuple:
-    """The group action; defined for racks, where division never blocks."""
+def act_full(M: FiniteMagma, colours, w, checked: bool = True) -> Optional[tuple]:
+    """The group action; defined for racks, where division never blocks.
+
+    With checked=False on a table that is not a rack, a crossing whose
+    quotient does not exist gives None, as in `act_partial`, and one with
+    several quotients raises AmbiguousInverseError.
+    """
     if checked and not is_rack(M):
         raise DomainError("full action needs a rack (LD with bijective rows)")
-    vec = _check_colours(M, colours)
-    for l in _letters(w, len(vec)):
-        if l > 0:
-            a, b = vec[l - 1], vec[l]
-            vec[l - 1], vec[l] = M.op[a - 1][b - 1], a
-        else:
-            i = -l
-            a, b = vec[i - 1], vec[i]
-            vec[i - 1], vec[i] = b, left_inverse_op(M, b, a)
-    return tuple(vec)
+    vec = _table_colours(M, colours)
+    return _propagate(vec, _letters(w, len(vec)), *_table_ops(M))
 
 
 class IntegerShiftRack:
@@ -121,45 +146,21 @@ class FreeConjugationRack:
         return free_reduce(free_inverse(a) + b + a)
 
 
-class _MagmaBackend:
-    def __init__(self, M: FiniteMagma):
-        self.M = M
-
-    def check_colour(self, v) -> bool:
-        return isinstance(v, int) and 1 <= v <= self.M.m
-
-    def mul(self, a: int, b: int) -> int:
-        return self.M.op[a - 1][b - 1]
-
-    def div(self, a: int, b: int) -> Optional[int]:
-        return left_inverse_op(self.M, a, b)
-
-
 def act_partial(backend, colours, w) -> Optional[tuple]:
-    """Propagate where defined; None as soon as a crossing is blocked."""
+    """Propagate where defined; None as soon as a crossing is blocked.
+
+    `backend` is a FiniteMagma with injective rows or an object with
+    `check_colour`, `mul(a, b)` and `div(a, b)` (the c with a*c = b).
+    """
     if isinstance(backend, FiniteMagma):
         if not is_left_cancellative(backend):
             raise DomainError("partial action needs injective rows")
-        backend = _MagmaBackend(backend)
+        return act_full(backend, colours, w, checked=False)
     vec = list(colours)
     for v in vec:
         if not backend.check_colour(v):
             raise DomainError(f"colour {v!r} is not in the carrier")
-    for l in _letters(w, len(vec)):
-        if l > 0:
-            a, b = vec[l - 1], vec[l]
-            new = backend.mul(a, b)
-            if new is None:
-                return None
-            vec[l - 1], vec[l] = new, a
-        else:
-            i = -l
-            a, b = vec[i - 1], vec[i]
-            new = backend.div(b, a)
-            if new is None:
-                return None
-            vec[i - 1], vec[i] = b, new
-    return tuple(vec)
+    return _propagate(vec, _letters(w, len(vec)), backend.mul, backend.div)
 
 
 def free_reduce(word: Sequence[int]) -> tuple:
@@ -195,8 +196,9 @@ def count_closure_colourings(M: FiniteMagma, w, m: int) -> int:
     if not is_rack(M):
         raise DomainError("closure counting needs a rack")
     letters = _letters(w, m)
+    star, bar = _table_ops(M)
     return sum(1 for vec in product(range(1, M.m + 1), repeat=m)
-               if vec == act_full(M, vec, letters, checked=False))
+               if _propagate(list(vec), letters, star, bar) == vec)
 
 
 def cocycle_invariant(M: FiniteMagma, phi, w, colours, checked: bool = True) -> int:
@@ -209,14 +211,16 @@ def cocycle_invariant(M: FiniteMagma, phi, w, colours, checked: bool = True) -> 
             raise DomainError("operation table is not left self-distributive")
         if not homology.is_two_cocycle(phi, M):
             raise DomainError("phi fails the 2-cocycle law")
-    vec = _check_colours(M, colours)
+    vec = _table_colours(M, colours)
+    mul = _table_ops(M)[0]
     total = 0
-    for l in _letters(w, len(vec)):
-        if l < 0:
-            raise DomainError(f"negative letter {l} in a positive-only sum")
-        a, b = vec[l - 1], vec[l]
+
+    def star(a, b):
+        nonlocal total
         total += phi(a, b)
-        vec[l - 1], vec[l] = M.op[a - 1][b - 1], a
+        return mul(a, b)
+
+    _propagate(vec, _letters(w, len(vec)), star, _positive_only)
     return total
 
 
@@ -266,17 +270,18 @@ def fundamental_quandle(w, m: int) -> QuandlePresentation:
     """Propagate formal terms and equate each output with its input generator."""
     if m < 1:
         raise DomainError(f"strand count must be >= 1, got {m}")
-    vec = [gen(i) for i in range(1, m + 1)]
-    for l in _letters(w, m):
-        if l > 0:
-            a, b = vec[l - 1], vec[l]
-            vec[l - 1], vec[l] = op_term(a, b), a
-        else:
-            i = -l
-            a, b = vec[i - 1], vec[i]
-            vec[i - 1], vec[i] = b, bar_term(b, a)
-    relations = tuple((vec[i], gen(i + 1)) for i in range(m))
-    return QuandlePresentation(m, relations)
+    vec = _propagate([gen(i) for i in range(1, m + 1)], _letters(w, m),
+                     op_term, bar_term)
+    return QuandlePresentation(m, tuple((t, gen(i)) for i, t in enumerate(vec, start=1)))
+
+
+def _wirtinger_colours(w, m: int) -> tuple:
+    """Output colours of the generators 1..m, read in the free conjugation rack."""
+    if m < 1:
+        raise DomainError(f"strand count must be >= 1, got {m}")
+    rack = FreeConjugationRack()
+    return _propagate([(i,) for i in range(1, m + 1)], _letters(w, m),
+                      rack.mul, rack.div)
 
 
 def wirtinger_relations(w, m: int) -> Tuple[tuple, ...]:
@@ -285,19 +290,13 @@ def wirtinger_relations(w, m: int) -> Tuple[tuple, ...]:
     The i-th output colour, with a*b read as a b a^{-1} and b \\ a as
     b^{-1} a b, is equated with the i-th generator.
     """
-    if m < 1:
-        raise DomainError(f"strand count must be >= 1, got {m}")
-    rack = FreeConjugationRack()
-    vec = act_partial(rack, tuple((i,) for i in range(1, m + 1)), _letters(w, m))
+    vec = _wirtinger_colours(w, m)
     return tuple(free_reduce(t + (-i,)) for i, t in enumerate(vec, start=1))
 
 
 def wirtinger_group(w, m: int) -> str:
     """Presentation text of the closure's fundamental group."""
-    if m < 1:
-        raise DomainError(f"strand count must be >= 1, got {m}")
-    rack = FreeConjugationRack()
-    vec = act_partial(rack, tuple((i,) for i in range(1, m + 1)), _letters(w, m))
+    vec = _wirtinger_colours(w, m)
     gens = ", ".join(_gen_name(i) for i in range(1, m + 1))
     eqs = ", ".join(f"{render_free_word(t)} = {_gen_name(i)}"
                     for i, t in enumerate(vec, start=1))
@@ -311,7 +310,7 @@ def laver_fraction_colouring(n: int, w, mid, mode: str = "fraction") -> Tuple[tu
     mid.beta_2); in delta mode, w = Delta^{-d} beta_0 gives (mid.Delta^d,
     mid.beta_0).  Both halves are positive, so the table only needs LD.
     """
-    from . import laver
+    from . import braid, laver
     m = len(mid)
     if m < 2:
         raise DomainError(f"need at least 2 strands, got {m}")

@@ -175,6 +175,7 @@ def left_powers(table, x: int, k: int) -> list:
     """[x, x*x, (x*x)*x, ...]: k left powers of x."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
+    table.op(x, x)  # rejects an x outside the table, also when k == 1
     seq = [x]
     for _ in range(k - 1):
         seq.append(table.op(seq[-1], x))

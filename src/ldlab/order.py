@@ -235,14 +235,10 @@ def ordinal_add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
 
 
 def ordinal_cmp(a: OrdinalCNF, b: OrdinalCNF) -> str:
-    for (ka, ca), (kb, cb) in zip(a.terms, b.terms):
-        if ka != kb:
-            return "<" if ka < kb else ">"
-        if ca != cb:
-            return "<" if ca < cb else ">"
-    if len(a.terms) != len(b.terms):
-        return "<" if len(a.terms) < len(b.terms) else ">"
-    return "="
+    # exponents strictly decrease, so CNF order is the order of the term tuples
+    if a.terms == b.terms:
+        return "="
+    return "<" if a.terms < b.terms else ">"
 
 
 def render_ordinal(a: OrdinalCNF) -> str:
@@ -309,16 +305,11 @@ def bp3_normal_exponents(beta) -> Bp3NormalForm:
 def rank_bp3(beta) -> OrdinalCNF:
     """Ordinal rank in the flipped D-order on BP_3."""
     nf = beta if isinstance(beta, Bp3NormalForm) else bp3_normal_exponents(beta)
+    # the omega exponents p-1, ..., 0 strictly decrease: already Cantor normal form
     p = nf.p
-    if p == 0:
-        return ORDINAL_ZERO
-    out = OrdinalCNF(((p - 1, nf.exponents[0]),)) if nf.exponents[0] else ORDINAL_ZERO
-    for idx in range(1, p):
-        r = p - idx
-        c = nf.exponents[idx] - _epsilon(r)
-        if c:
-            out = ordinal_add(out, OrdinalCNF(((r - 1, c),)))
-    return out
+    coeffs = [e - (_epsilon(p - idx) if idx else 0)
+              for idx, e in enumerate(nf.exponents)]
+    return OrdinalCNF(tuple((p - 1 - idx, c) for idx, c in enumerate(coeffs) if c))
 
 
 def alternating_normal_form(beta, n: int) -> br.BraidWord:

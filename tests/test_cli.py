@@ -288,6 +288,15 @@ def test_cli_import_loads_no_library_module():
     assert ldlab_modules(loaded_after("pass")) == {"ldlab.cli", "ldlab.errors"}
 
 
+def test_invariants_leave_braid_out():
+    # a colouring count on a plain letter tuple never needs normal forms
+    loaded = ldlab_modules(loaded_after(
+        "import ldlab.invariants as inv, ldlab.magma as mg; "
+        "print(inv.count_closure_colourings(mg.dihedral_quandle(3), (1, -1, 1), 2))"))
+    assert "ldlab.invariants" in loaded
+    assert "ldlab.braid" not in loaded
+
+
 def test_order_command_loads_only_braid_and_order():
     loaded = loaded_after("ldlab.cli.main(['order', 'rank3', '1 2 1'])")
     assert ldlab_modules(loaded) == {"ldlab.braid", "ldlab.order",

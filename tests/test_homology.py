@@ -151,6 +151,20 @@ def test_boundary_degree_basics():
     assert homology.boundary(A2, "rack", (x,)) == {}
 
 
+def test_chain_maps_reject_bad_kinds_and_entries():
+    d3 = magma.dihedral_quandle(3)
+    for kind in ("foo", "", "rack0"):
+        with pytest.raises(DomainError, match="boundary kind"):
+            homology.boundary(d3, kind, ())
+        with pytest.raises(DomainError, match="boundary kind"):
+            homology.boundary(d3, kind, {(1, 2): 1})
+    for bad in ((7,), (0, 1), (1, 4)):
+        with pytest.raises(DomainError):
+            homology.theta(d3, bad)
+        with pytest.raises(DomainError):
+            homology.theta_prime(d3, {bad: 2})
+
+
 def test_boundary_squares_vanish():
     for M in small_magmas():
         for k in (2, 3, 4):

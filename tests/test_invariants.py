@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from ldlab.errors import DomainError
+from ldlab.errors import AmbiguousInverseError, DomainError
 from ldlab import braid, homology, invariants, laver, magma
 
 
@@ -46,6 +46,79 @@ def equivalent_word(rng, letters, n, moves=6):
                 i = rng.choice(spots)
                 w[i], w[i + 1], w[i + 2] = w[i + 1], w[i], w[i + 1]
     return tuple(w)
+
+
+def reference_act_full(M, colours, w):
+    """The crossing rule written out letter by letter, as act_full had it
+    before every action shared one kernel."""
+    vec = list(colours)
+    for l in w:
+        if l > 0:
+            a, b = vec[l - 1], vec[l]
+            vec[l - 1], vec[l] = M.op[a - 1][b - 1], a
+        else:
+            i = -l
+            a, b = vec[i - 1], vec[i]
+            vec[i - 1], vec[i] = b, magma.left_inverse_op(M, b, a)
+    return tuple(vec)
+
+
+def seeded_racks(rng):
+    perm = list(range(1, 7))
+    rng.shuffle(perm)
+    return [magma.dihedral_quandle(3), magma.dihedral_quandle(5),
+            magma.affine_quandle(7, 3), magma.from_rows([perm] * 6)]
+
+
+def test_actions_match_reference():
+    rng = random.Random(1717)
+    racks = seeded_racks(rng)
+    for step in range(400):
+        M = racks[step % len(racks)]
+        n = rng.randint(2, 4)
+        v = tuple(rng.randint(1, M.m) for _ in range(n))
+        w = random_word(rng, n, rng.randint(0, 8))
+        expected = reference_act_full(M, v, w)
+        assert invariants.act_full(M, v, w) == expected
+        assert invariants.act_partial(M, v, w) == expected
+        if all(l > 0 for l in w):
+            assert invariants.act_positive(M, v, w) == expected
+
+
+def test_count_closure_colourings_matches_reference():
+    rng = random.Random(1718)
+    racks = seeded_racks(rng)
+    for step in range(40):
+        M = racks[step % len(racks)]
+        m = rng.randint(1, 3)
+        w = random_word(rng, m, rng.randint(0, 6)) if m > 1 else ()
+        expected = sum(1 for v in product(range(1, M.m + 1), repeat=m)
+                       if reference_act_full(M, v, w) == v)
+        assert invariants.count_closure_colourings(M, w, m) == expected
+
+
+def test_table_colours_must_be_elements():
+    d3 = magma.dihedral_quandle(3)
+    one = constant_cochain(3)
+    for bad in ((True, 2), (1.0, 2), (1, 2.5), (False, 1), ("1", 2)):
+        with pytest.raises(DomainError):
+            invariants.act_positive(d3, bad, (1,))
+        with pytest.raises(DomainError):
+            invariants.act_full(d3, bad, (1,))
+        with pytest.raises(DomainError):
+            invariants.act_partial(d3, bad, (1,))
+        with pytest.raises(DomainError):
+            invariants.cocycle_invariant(d3, one, (1,), bad)
+
+
+def test_act_full_unchecked_blocked_crossing_is_none():
+    # x*y = x: 2 \ 1 does not exist and 1 \ 1 has two values
+    M = magma.from_rows([[1, 1], [2, 2]])
+    assert invariants.act_full(M, (1, 2), (-1,), checked=False) is None
+    assert invariants.act_full(M, (1, 2), (-1, 1), checked=False) is None
+    assert invariants.act_full(M, (1, 2), (1,), checked=False) == (1, 1)
+    with pytest.raises(AmbiguousInverseError):
+        invariants.act_full(M, (1, 1), (-1,), checked=False)
 
 
 def test_act_positive_pinned():
@@ -130,9 +203,9 @@ def test_act_partial_on_tables():
     for _ in range(60):
         v = tuple(rng.randint(1, 5) for _ in range(3))
         w = random_word(rng, 3, rng.randint(0, 6), signed=False)
-        assert invariants.act_partial(d5, v, w) == invariants.act_positive(d5, v, w)
+        assert invariants.act_partial(d5, v, w) == reference_act_full(d5, v, w)
         ws = random_word(rng, 3, rng.randint(0, 6))
-        assert invariants.act_partial(d5, v, ws) == invariants.act_full(d5, v, ws, checked=False)
+        assert invariants.act_partial(d5, v, ws) == reference_act_full(d5, v, ws)
     with pytest.raises(DomainError):
         invariants.act_partial(laver_magma(2), (1, 1), (1,))
 

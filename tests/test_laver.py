@@ -197,6 +197,11 @@ def test_input_validation():
         laver.project(1, 3)
     with pytest.raises(DomainError):
         laver.left_powers(t, 1, 0)
+    for x, k in ((100, 1), (0, 1), (5, 3)):
+        with pytest.raises(DomainError):
+            laver.left_powers(t, x, k)
+    with pytest.raises(DomainError):
+        laver.left_powers(laver.build_general_table(3), 4, 1)
 
 
 def test_dense_respects_memory_cap(monkeypatch):

@@ -365,6 +365,43 @@ def test_ordinal_add_merges_equal_exponents():
     assert od.ordinal_add(a, bb) == od.OrdinalCNF(((2, 1), (1, 5), (0, 4)))
 
 
+def reference_rank_bp3(nf):
+    """The rank as a sum of omega-power terms folded with ordinal_add."""
+    p = nf.p
+    out = od.ORDINAL_ZERO
+    for idx, e in enumerate(nf.exponents):
+        c = e if idx == 0 else e - od._epsilon(p - idx)
+        if c:
+            out = od.ordinal_add(out, od.OrdinalCNF(((p - 1 - idx, c),)))
+    return out
+
+
+def reference_ordinal_cmp(a, b):
+    """Term by term: exponent first, then coefficient, then length."""
+    for (ka, ca), (kb, cb) in zip(a.terms, b.terms):
+        if ka != kb:
+            return "<" if ka < kb else ">"
+        if ca != cb:
+            return "<" if ca < cb else ">"
+    if len(a.terms) != len(b.terms):
+        return "<" if len(a.terms) < len(b.terms) else ">"
+    return "="
+
+
+def test_rank_and_comparison_match_references():
+    ranks = []
+    for length in range(9):
+        for letters in itertools.product((1, 2), repeat=length):
+            nf = od.bp3_normal_exponents(b(3, *letters))
+            rank = od.rank_bp3(nf)
+            assert rank == reference_rank_bp3(nf)
+            ranks.append(rank)
+    rng = random.Random(2718)
+    for _ in range(5000):
+        x, y = rng.choice(ranks), rng.choice(ranks)
+        assert od.ordinal_cmp(x, y) == reference_ordinal_cmp(x, y)
+
+
 # ---------------------------------------------------------------------------
 # D-floor
 
