@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, check_letters, element
 
 Perm = Tuple[int, ...]
 
@@ -189,9 +189,7 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise DomainError(f"strand count must be >= 2, got {self.n}")
-        for l in self.letters:
-            if l == 0 or abs(l) > self.n - 1:
-                raise DomainError(f"letter {l} out of range for {self.n} strands")
+        object.__setattr__(self, "letters", check_letters(self.letters, self.n))
 
 
 def parse_word(text: str, n: int) -> BraidWord:
@@ -248,8 +246,7 @@ def identity(n: int) -> Braid:
 
 
 def sigma(n: int, i: int) -> Braid:
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"sigma index {i} out of range for {n} strands")
+    element(i, n - 1, "sigma index")
     if n == 2:
         return _nf(2, 1, ())
     return _nf(n, 0, (_swap_entries(identity_perm(n), i),))

@@ -1,4 +1,12 @@
-"""Shared error types and the memory guard used by table/matrix allocators."""
+"""Shared error types, the two input rules, and the memory guard used by
+table/matrix allocators.
+
+An element of a finite system on {1, ..., m} is an int in that range; a
+letter of an n-strand braid word is an int l with 0 < |l| < n, standing
+for sigma_|l| or its inverse.  Bools are not ints here, nor are floats or
+numpy integers.  `element` and `check_letters` are the only places these
+rules are written; every other module calls them.
+"""
 
 import os
 
@@ -23,6 +31,31 @@ class StepCapError(ResourceError):
     def __init__(self, message: str, partial: int):
         super().__init__(message)
         self.partial = partial
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def element(v, m: int, what: str = "element") -> int:
+    """v itself when it is an element of {1, ..., m}, else DomainError."""
+    # the exact type test is the fast path; int subclasses other than bool
+    # (IntEnum, say) pass through _is_int
+    if (type(v) is int or _is_int(v)) and 1 <= v <= m:
+        return v
+    why = "out of range" if _is_int(v) else "is not an integer in"
+    raise DomainError(f"{what} {v!r} {why} 1..{m}")
+
+
+def check_letters(seq, n: int) -> tuple:
+    """The letters of seq as a tuple, each valid for an n-strand braid, n >= 1."""
+    if n < 1:
+        raise DomainError(f"strand count must be >= 1, got {n}")
+    letters = tuple(seq)
+    for l in letters:
+        if not ((type(l) is int or _is_int(l)) and 0 < abs(l) < n):
+            raise DomainError(f"letter {l!r} out of range for {n} strands")
+    return letters
 
 
 def max_mem_bytes() -> int:

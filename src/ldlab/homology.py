@@ -28,7 +28,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .errors import DomainError, guard_alloc
+from .errors import DomainError, element, guard_alloc
 from .magma import FiniteMagma, LawCheck
 
 Chain = Dict[tuple, int]
@@ -36,10 +36,10 @@ Chain = Dict[tuple, int]
 _KINDS = ("*", "0")
 
 
-def _check_tuple(M: FiniteMagma, tup: tuple) -> None:
+def _check_tuple(m: int, tup: tuple) -> tuple:
     for x in tup:
-        if not 1 <= x <= M.m:
-            raise DomainError(f"entry {x} out of range 1..{M.m}")
+        element(x, m, "entry")
+    return tup
 
 
 def face_op(M: FiniteMagma, kind: str, i: int, tup: tuple) -> tuple:
@@ -49,7 +49,7 @@ def face_op(M: FiniteMagma, kind: str, i: int, tup: tuple) -> tuple:
         raise DomainError(f"face kind must be one of {_KINDS}, got {kind!r}")
     if not 1 <= i <= k:
         raise DomainError(f"face index {i} out of range 1..{k}")
-    _check_tuple(M, tup)
+    _check_tuple(M.m, tup)
     if kind == "0":
         return tup[:i - 1] + tup[i:]
     x = tup[i - 1]
@@ -98,7 +98,7 @@ def theta(M: FiniteMagma, arg) -> Chain:
     chain = _as_chain(arg)
     out: Chain = {}
     for tup, c in chain.items():
-        _check_tuple(M, tup)
+        _check_tuple(M.m, tup)
         _add(out, (top,) + tup, c)
     return out
 
@@ -111,7 +111,7 @@ def theta_prime(M: FiniteMagma, arg) -> Chain:
     chain = _as_chain(arg)
     out: Chain = {}
     for tup, c in chain.items():
-        _check_tuple(M, tup)
+        _check_tuple(M.m, tup)
         sign = 1 if len(tup) % 2 == 0 else -1
         _add(out, tup + (top,), sign * c)
     return out
@@ -157,10 +157,7 @@ class Cochain:
     def __call__(self, *tup) -> int:
         if len(tup) != self.degree:
             raise DomainError(f"expected {self.degree} arguments, got {len(tup)}")
-        for x in tup:
-            if not 1 <= x <= self.m:
-                raise DomainError(f"entry {x} out of range 1..{self.m}")
-        return self.values[_flat(self.m, tup)]
+        return self.values[_flat(self.m, _check_tuple(self.m, tup))]
 
     def grid(self) -> list:
         """Degree-2 cochain as a row-per-x matrix."""

@@ -15,8 +15,9 @@ sigma_i sigma_i^{-1} fixes every vector.
 hands it a multiplication and a division: table lookups, a backend's
 `mul`/`div`, formal quandle terms, or free-group conjugation.  A crossing
 is blocked when the product or quotient does not exist; the action then
-returns None.  A colour of a finite table is an int in 1..m (bools are not
-colours); anything else raises DomainError.
+returns None.  A colour of a finite table is an element of 1..m and a
+letter is checked against the strand count, both by the rules in `errors`;
+anything else raises DomainError.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, check_letters, element
 from .magma import (FiniteMagma, QuandleTerm, _gen_name, bar_term, gen,
                     is_ld, is_left_cancellative, is_rack, left_inverse_op,
                     op_term)
@@ -33,11 +34,7 @@ from .magma import (FiniteMagma, QuandleTerm, _gen_name, bar_term, gen,
 def _letters(w, m: int) -> Tuple[int, ...]:
     """Word letters (of a BraidWord or a plain sequence) validated against
     an m-strand diagram."""
-    letters = tuple(getattr(w, "letters", w))
-    for l in letters:
-        if l == 0 or abs(l) > m - 1:
-            raise DomainError(f"letter {l} out of range for {m} strands")
-    return letters
+    return check_letters(getattr(w, "letters", w), m)
 
 
 def _propagate(vec: list, letters, star: Callable, bar: Callable) -> Optional[tuple]:
@@ -62,11 +59,7 @@ def _positive_only(b, a):
 
 
 def _table_colours(M: FiniteMagma, colours) -> list:
-    vec = list(colours)
-    for v in vec:
-        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= M.m:
-            raise DomainError(f"colour {v!r} is not an element 1..{M.m}")
-    return vec
+    return [element(v, M.m, "colour") for v in colours]
 
 
 def _table_ops(M: FiniteMagma) -> Tuple[Callable, Callable]:
@@ -119,7 +112,7 @@ class IntegerShiftRack:
         return v
 
     def check_colour(self, v) -> bool:
-        return isinstance(v, int) and self._clip(v) is not None
+        return isinstance(v, int) and not isinstance(v, bool) and self._clip(v) is not None
 
     def mul(self, a: int, b: int) -> Optional[int]:
         return self._clip(b + 1)
@@ -191,11 +184,9 @@ def render_free_word(word: Sequence[int], names: Optional[list] = None) -> str:
 
 def count_closure_colourings(M: FiniteMagma, w, m: int) -> int:
     """Vectors fixed by the whole word: colourings of the closed diagram."""
-    if m < 1:
-        raise DomainError(f"strand count must be >= 1, got {m}")
+    letters = _letters(w, m)
     if not is_rack(M):
         raise DomainError("closure counting needs a rack")
-    letters = _letters(w, m)
     star, bar = _table_ops(M)
     return sum(1 for vec in product(range(1, M.m + 1), repeat=m)
                if _propagate(list(vec), letters, star, bar) == vec)
@@ -268,8 +259,6 @@ def _render_outer(term: QuandleTerm) -> str:
 
 def fundamental_quandle(w, m: int) -> QuandlePresentation:
     """Propagate formal terms and equate each output with its input generator."""
-    if m < 1:
-        raise DomainError(f"strand count must be >= 1, got {m}")
     vec = _propagate([gen(i) for i in range(1, m + 1)], _letters(w, m),
                      op_term, bar_term)
     return QuandlePresentation(m, tuple((t, gen(i)) for i, t in enumerate(vec, start=1)))
@@ -277,8 +266,6 @@ def fundamental_quandle(w, m: int) -> QuandlePresentation:
 
 def _wirtinger_colours(w, m: int) -> tuple:
     """Output colours of the generators 1..m, read in the free conjugation rack."""
-    if m < 1:
-        raise DomainError(f"strand count must be >= 1, got {m}")
     rack = FreeConjugationRack()
     return _propagate([(i,) for i in range(1, m + 1)], _letters(w, m),
                       rack.mul, rack.div)

@@ -19,7 +19,7 @@ strictly.  `LaverTable` stores just the prefix of each row up to its first
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceError, guard_alloc
+from .errors import DomainError, ResourceError, element, guard_alloc
 from .magma import FiniteMagma, is_ld
 
 DEFAULT_MAX_N = 13
@@ -39,13 +39,10 @@ class GeneralTable:
     _rows: tuple
 
     def op(self, p: int, q: int) -> int:
-        _check_range(p, self.N)
-        _check_range(q, self.N)
-        return self._rows[p - 1][q - 1]
+        return self._rows[element(p, self.N) - 1][element(q, self.N) - 1]
 
     def row(self, p: int) -> tuple:
-        _check_range(p, self.N)
-        return self._rows[p - 1]
+        return self._rows[element(p, self.N) - 1]
 
     def dense(self) -> list:
         return [list(r) for r in self._rows]
@@ -64,15 +61,12 @@ class LaverTable:
     _prefixes: tuple
 
     def op(self, p: int, q: int) -> int:
-        _check_range(p, self.size)
-        _check_range(q, self.size)
-        prefix = self._prefixes[p - 1]
-        return prefix[(q - 1) % len(prefix)]
+        prefix = self._prefixes[element(p, self.size) - 1]
+        return prefix[(element(q, self.size) - 1) % len(prefix)]
 
     def row(self, p: int) -> list:
         """Full row p, length 2**n."""
-        _check_range(p, self.size)
-        prefix = self._prefixes[p - 1]
+        prefix = self._prefixes[element(p, self.size) - 1]
         reps = self.size // len(prefix)
         return list(prefix) * reps
 
@@ -84,11 +78,6 @@ class LaverTable:
         _dense_guard(self.size, f"magma copy of A_{self.n}")
         return FiniteMagma(self.size, tuple(tuple(self.row(p)) for p in range(1, self.size + 1)),
                            label=f"A_{self.n}")
-
-
-def _check_range(x: int, N: int) -> None:
-    if not 1 <= x <= N:
-        raise DomainError(f"element {x} out of range 1..{N}")
 
 
 def build_general_table(N: int) -> GeneralTable:
@@ -145,17 +134,15 @@ def build_laver_table(n: int, max_n: int = DEFAULT_MAX_N) -> LaverTable:
 
 def period(table: LaverTable, p: int) -> int:
     """pi_n(p): least q with p*q = 2**n."""
-    _check_range(p, table.size)
-    return table.periods[p - 1]
+    return table.periods[element(p, table.size) - 1]
 
 
 def project(n: int, x: int) -> int:
     """The projection A_n -> A_(n-1): x mod 2**(n-1), with 0 sent to 2**(n-1)."""
     if n < 1:
         raise DomainError(f"projection needs n >= 1, got {n}")
-    _check_range(x, 1 << n)
     half = 1 << (n - 1)
-    return (x - 1) % half + 1
+    return (element(x, 1 << n) - 1) % half + 1
 
 
 def period_doubling_check(n: int, max_n: int = DEFAULT_MAX_N) -> bool:

@@ -11,7 +11,7 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .errors import AmbiguousInverseError, DomainError
+from .errors import AmbiguousInverseError, DomainError, element
 
 
 class LawCheck(NamedTuple):
@@ -35,13 +35,10 @@ class FiniteMagma:
             raise DomainError(f"operation table must be {self.m}x{self.m}")
         for row in self.op:
             for v in row:
-                if not 1 <= v <= self.m:
-                    raise DomainError(f"table entry {v} out of range 1..{self.m}")
+                element(v, self.m, "table entry")
 
     def mul(self, a: int, b: int) -> int:
-        if not (1 <= a <= self.m and 1 <= b <= self.m):
-            raise DomainError(f"({a}, {b}) out of range 1..{self.m}")
-        return self.op[a - 1][b - 1]
+        return self.op[element(a, self.m) - 1][element(b, self.m) - 1]
 
     def elements(self) -> range:
         return range(1, self.m + 1)
@@ -104,9 +101,8 @@ def satisfies_rump_law(M: FiniteMagma) -> LawCheck:
 
 def left_inverse_op(M: FiniteMagma, a: int, b: int) -> Optional[int]:
     """The c with a*c = b, None when absent; several solutions raise."""
-    if not (1 <= a <= M.m and 1 <= b <= M.m):
-        raise DomainError(f"({a}, {b}) out of range 1..{M.m}")
-    row = M.op[a - 1]
+    row = M.op[element(a, M.m) - 1]
+    element(b, M.m)
     hits = [c for c in range(1, M.m + 1) if row[c - 1] == b]
     if not hits:
         return None

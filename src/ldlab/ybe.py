@@ -9,14 +9,14 @@ property, never a precondition.
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, element
 from .magma import FiniteMagma, LawCheck
 
 
 @dataclass(frozen=True)
 class SetSolution:
     m: int
-    pairs: tuple  # flat, index (a-1)*m + (b-1) holds (rho1(a,b), rho2(a,b))
+    pairs: tuple  # flat, index (a-1)*m + (b-1) holds rho(a, b)
 
     def __post_init__(self):
         if self.m < 1:
@@ -27,32 +27,20 @@ class SetSolution:
             if len(entry) != 2:
                 raise DomainError(f"pair map entry {entry!r} is not a pair")
             for v in entry:
-                if not 1 <= v <= self.m:
-                    raise DomainError(f"pair map value {v} out of range 1..{self.m}")
-
-    def _check(self, a: int, b: int) -> None:
-        if not (1 <= a <= self.m and 1 <= b <= self.m):
-            raise DomainError(f"({a}, {b}) out of range 1..{self.m}")
+                element(v, self.m, "pair map value")
 
     def rho(self, a: int, b: int) -> Tuple[int, int]:
-        self._check(a, b)
-        return self.pairs[(a - 1) * self.m + (b - 1)]
-
-    def rho1(self, a: int, b: int) -> int:
-        return self.rho(a, b)[0]
-
-    def rho2(self, a: int, b: int) -> int:
-        return self.rho(a, b)[1]
+        return self.pairs[(element(a, self.m) - 1) * self.m + element(b, self.m) - 1]
 
     def left_op(self) -> FiniteMagma:
-        """The operation a |> b = rho1(a, b)."""
+        """The operation a |> b, the first coordinate of rho(a, b)."""
         rows = tuple(tuple(self.pairs[(a - 1) * self.m + (b - 1)][0]
                            for b in range(1, self.m + 1))
                      for a in range(1, self.m + 1))
         return FiniteMagma(self.m, rows)
 
     def right_op(self) -> FiniteMagma:
-        """The operation a <| b = rho2(a, b)."""
+        """The operation a <| b, the second coordinate of rho(a, b)."""
         rows = tuple(tuple(self.pairs[(a - 1) * self.m + (b - 1)][1]
                            for b in range(1, self.m + 1))
                      for a in range(1, self.m + 1))
@@ -192,7 +180,7 @@ def exchange_laws_hold(op1: FiniteMagma, op2: FiniteMagma) -> bool:
 
 
 def matrix_entries(rho: SetSolution) -> tuple:
-    """(row, col) positions of the ones, 1-based, sorted by column.
+    """(row, col) positions of the ones, 1-based, in column order.
 
     Pair (a, b) gets index (a-1)*m + b, first coordinate slowest; the
     column is the input pair, the row its image, so every column carries
@@ -204,7 +192,6 @@ def matrix_entries(rho: SetSolution) -> tuple:
         for b in range(1, m + 1):
             c, d = rho.pairs[(a - 1) * m + (b - 1)]
             out.append(((c - 1) * m + d, (a - 1) * m + b))
-    out.sort(key=lambda e: (e[1], e[0]))
     return tuple(out)
 
 
