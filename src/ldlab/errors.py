@@ -1,11 +1,11 @@
-"""Shared error types, the two input rules, and the memory guard used by
+"""Shared error types, the three input rules, and the memory guard used by
 table/matrix allocators.
 
 An element of a finite system on {1, ..., m} is an int in that range; a
 letter of an n-strand braid word is an int l with 0 < |l| < n, standing
-for sigma_|l| or its inverse.  Bools are not ints here, nor are floats or
-numpy integers.  `element` and `check_letters` are the only places these
-rules are written; every other module calls them.
+for sigma_|l| or its inverse; a free-group letter is any nonzero int.
+Bools are not ints here, nor are floats or numpy integers.  `element`,
+`check_letters` and `free_letters` write these rules; every module calls them.
 """
 
 import os
@@ -55,6 +55,15 @@ def check_letters(seq, n: int) -> tuple:
     for l in letters:
         if not ((type(l) is int or _is_int(l)) and 0 < abs(l) < n):
             raise DomainError(f"letter {l!r} out of range for {n} strands")
+    return letters
+
+
+def free_letters(seq) -> tuple:
+    """The letters of seq as a tuple, each a free-group letter."""
+    letters = tuple(seq)
+    for l in letters:
+        if not ((type(l) is int or _is_int(l)) and l):
+            raise DomainError(f"free-group letter {l!r} is not a nonzero integer")
     return letters
 
 

@@ -15,12 +15,13 @@ rule f(x,z) + f(x*y, x*z) = f(y,z) + f(x, y*z).
 Cochain spaces are handled exactly over Z: two_cocycle_space returns a
 saturated basis of the kernel lattice, so its length is the honest rank.
 
-`_cocycle_constraints` is the one coboundary matrix: the dual of delR,
-built by index arithmetic.  `cocycle_space` passes its non-empty rows to the
-kernel, `is_two_cocycle` and `is_three_cocycle` look for the first row that
-pairs non-zero with a cochain, `coboundary_of` pairs a cochain with every
-row, and `coboundary_preimage` reads its columns from it.  `boundary` stays
-as the chain-level map; tests check the matrix against it.
+`_cocycle_constraints` is the one coboundary matrix, the dual of delR,
+built by the recursion delR(x, r) = [x.r] - [r] - x delR(r).  Its readers:
+`cocycle_space` passes the non-empty rows to the kernel, `_coboundary_values`
+pairs a cochain with every row (the one pairing loop), which `coboundary_of`
+collects and the cocycle checks scan for the first non-zero tuple, and
+`coboundary_preimage` reads its columns from the rows one degree down.
+`boundary` stays as the chain-level map; tests check the rows against it.
 """
 
 from dataclasses import dataclass
@@ -88,33 +89,27 @@ def boundary(M: FiniteMagma, kind: str, arg) -> Chain:
     return out
 
 
+def _with_top(M: FiniteMagma, arg, term) -> Chain:
+    out: Chain = {}
+    for tup, c in _as_chain(arg).items():
+        _add(out, *term(_check_tuple(M.m, tup), c))
+    return out
+
+
 def theta(M: FiniteMagma, arg) -> Chain:
     """Prepend the top element: theta(x_1..x_k) = (top, x_1..x_k).
 
     A contracting homotopy for del* whenever top*x = x for all x (true for
     the top row of a Laver table); theta(del*(c)) + del*(theta(c)) = c.
     """
-    top = M.m
-    chain = _as_chain(arg)
-    out: Chain = {}
-    for tup, c in chain.items():
-        _check_tuple(M.m, tup)
-        _add(out, (top,) + tup, c)
-    return out
+    return _with_top(M, arg, lambda tup, c: ((M.m,) + tup, c))
 
 
 def theta_prime(M: FiniteMagma, arg) -> Chain:
     """Append the top element with sign (-1)^k: theta'(x_1..x_k) = (-1)^k (x_1..x_k, top).
 
     The companion homotopy for del*, using x*top = top for all x."""
-    top = M.m
-    chain = _as_chain(arg)
-    out: Chain = {}
-    for tup, c in chain.items():
-        _check_tuple(M.m, tup)
-        sign = 1 if len(tup) % 2 == 0 else -1
-        _add(out, tup + (top,), sign * c)
-    return out
+    return _with_top(M, arg, lambda tup, c: (tup + (M.m,), (-1) ** len(tup) * c))
 
 
 def contracting_homotopy_check(M: FiniteMagma, kmax: int) -> bool:
@@ -184,9 +179,13 @@ def coboundary_of(M: FiniteMagma, f: Cochain) -> Cochain:
         raise DomainError(f"need a cochain over the same carrier, got {f.m} elements for {M.m}")
     k = f.degree + 1
     guard_alloc(8 * M.m ** k, f"degree-{k} cochain on {M.m} elements")
-    vals = [sum(c * f.values[j] for j, c in row.items())
-            for row in _cocycle_constraints(M, f.degree)]
-    return Cochain(M.m, k, tuple(vals))
+    return Cochain(M.m, k, tuple(_coboundary_values(M, f)))
+
+
+def _coboundary_values(M: FiniteMagma, f: Cochain):
+    """(delta f)(t) for each tuple t in product order: the one pairing loop."""
+    v = f.values
+    return (sum([c * v[j] for j, c in row.items()]) for row in _cocycle_constraints(M, f.degree))
 
 
 def _cocycle_check(f: Cochain, M: FiniteMagma, degree: int) -> LawCheck:
@@ -194,8 +193,8 @@ def _cocycle_check(f: Cochain, M: FiniteMagma, degree: int) -> LawCheck:
     if f.degree != degree or f.m != M.m:
         raise DomainError(f"need a degree-{degree} cochain over the same carrier")
     tuples = product(range(1, M.m + 1), repeat=degree + 1)
-    for tup, row in zip(tuples, _cocycle_constraints(M, degree)):
-        if sum(c * f.values[j] for j, c in row.items()):
+    for tup, v in zip(tuples, _coboundary_values(M, f)):
+        if v:
             return LawCheck(False, tup)
     return LawCheck(True, None)
 
@@ -213,28 +212,33 @@ def is_three_cocycle(f: Cochain, M: FiniteMagma) -> LawCheck:
 def _cocycle_constraints(M: FiniteMagma, degree: int):
     """Sparse rows of the dual rack-boundary map on degree-`degree` cochains.
 
-    One row per tuple t = (t_0, ..., t_k), k = degree, with 0-based entries,
-    in product order; a row whose faces cancel is yielded empty, so the i-th
-    row belongs to the i-th tuple.  Writing [u_1..u_r] for the base-m number
-    with those digits, face i of t (sign (-1)^i) has the flat index
-    [t_0..t_{i-1}] * m^(k-i) + [t_i*t_{i+1}, ..., t_i*t_k] for d*_i, and
-    d0_i is d*_i for x*y = y.  The d* faces enter before the d0 faces, as
-    in `boundary`, so the rows match its rows entry for entry.
+    One row per (degree+1)-tuple in product order, keyed by flat face
+    indices; a row whose faces cancel is yielded empty.  Face 1 of (x, r)
+    is x.r under d* and r under d0, face i > 1 is x then face i - 1 of r:
+    delR(x, r) = [x.r] - [r] - x delR(r), and x.(y, s) = (x*y, x.s).  So
+    each degree is built from the one below, which alone is kept, and the
+    top degree is yielded one row at a time.
     """
     m = M.m
     op = [[y - 1 for y in row] for row in M.op]
-    trivial = [list(range(m))] * m
-    for t in product(range(m), repeat=degree + 1):
-        row: Dict[int, int] = {}
-        for table, sign in ((op, 1), (trivial, -1)):
-            head = 0
-            for i, x in enumerate(t):
-                tail, rx = 0, table[x]
-                for y in t[i + 1:]:
-                    tail = tail * m + rx[y]
-                _add(row, head * m ** (degree - i) + tail, sign)
-                head, sign = head * m + x, -sign
-        yield row
+
+    def raised(rows):
+        stride = len(rows) // m  # x before a face of r
+        for x, opx in enumerate(op):
+            xr, n = [0], 1  # xr[i]: the flat index of x.r for the r of rows[i]
+            while n < len(rows):
+                xr, n = [opx[y] * n + a for y in range(m) for a in xr], n * m
+            for i, low in enumerate(rows):
+                row = {x * stride + j: -c for j, c in low.items()}
+                _add(row, xr[i], 1)
+                _add(row, i, -1)
+                yield row
+
+    rows = [{}]  # the empty tuple: delR(()) = 0
+    for k in range(degree):
+        guard_alloc(32 * (k + 1) * m ** (k + 1), f"degree-{k} coboundary rows on {m} elements")
+        rows = list(raised(rows))
+    yield from raised(rows)
 
 
 def cocycle_space(M: FiniteMagma, degree: int) -> Tuple[int, List[Cochain]]:
@@ -266,13 +270,10 @@ def psi(q: int, n: int) -> Cochain:
     N = table.size
     if not 1 <= q < N:
         raise DomainError(f"q = {q} out of range 1..{N - 1}")
-    in_col = [False] * (N + 1)  # in_col[y]: q appears in column y
-    for y in range(1, N + 1):
-        in_col[y] = any(table.op(p, y) == q for p in range(1, N + 1))
-    vals = []
-    for x in range(1, N + 1):
-        for y in range(1, N + 1):
-            vals.append(1 if in_col[y] and not in_col[table.op(x, y)] else 0)
+    guard_alloc(8 * N * N, f"degree-2 cochain on {N} elements")
+    cols = range(1, N + 1)
+    in_col = [None] + [any(table.op(p, y) == q for p in cols) for y in cols]
+    vals = [int(in_col[y] and not in_col[table.op(x, y)]) for x in cols for y in cols]
     return Cochain(N, 2, tuple(vals))
 
 

@@ -15,9 +15,8 @@ sigma_i sigma_i^{-1} fixes every vector.
 hands it a multiplication and a division: table lookups, a backend's
 `mul`/`div`, formal quandle terms, or free-group conjugation.  A crossing
 is blocked when the product or quotient does not exist; the action then
-returns None.  A colour of a finite table is an element of 1..m and a
-letter is checked against the strand count, both by the rules in `errors`;
-anything else raises DomainError.
+returns None.  Table colours, braid letters and free-group letters are
+checked by the rules in `errors`; anything else raises DomainError.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import DomainError, check_letters, element
+from .errors import DomainError, check_letters, element, free_letters
 from .magma import (FiniteMagma, QuandleTerm, _gen_name, bar_term, gen,
                     is_ld, is_left_cancellative, is_rack, left_inverse_op,
                     op_term)
@@ -125,7 +124,7 @@ class IntegerShiftRack:
 class FreeConjugationRack:
     """Colours are reduced words of a free group; x*y = x y x^{-1}.
 
-    Words are tuples of nonzero signed generator indices.
+    Words are tuples of free-group letters, signed generator indices.
     """
 
     def check_colour(self, v) -> bool:
@@ -158,9 +157,7 @@ def act_partial(backend, colours, w) -> Optional[tuple]:
 
 def free_reduce(word: Sequence[int]) -> tuple:
     out = []
-    for l in word:
-        if l == 0:
-            raise DomainError("free-group letters are nonzero integers")
+    for l in free_letters(word):
         if out and out[-1] == -l:
             out.pop()
         else:

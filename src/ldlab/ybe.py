@@ -32,19 +32,18 @@ class SetSolution:
     def rho(self, a: int, b: int) -> Tuple[int, int]:
         return self.pairs[(element(a, self.m) - 1) * self.m + element(b, self.m) - 1]
 
+    def _coordinate_op(self, k: int) -> FiniteMagma:
+        m = self.m
+        return FiniteMagma(m, tuple(tuple(p[k] for p in self.pairs[i:i + m])
+                                    for i in range(0, m * m, m)))
+
     def left_op(self) -> FiniteMagma:
         """The operation a |> b, the first coordinate of rho(a, b)."""
-        rows = tuple(tuple(self.pairs[(a - 1) * self.m + (b - 1)][0]
-                           for b in range(1, self.m + 1))
-                     for a in range(1, self.m + 1))
-        return FiniteMagma(self.m, rows)
+        return self._coordinate_op(0)
 
     def right_op(self) -> FiniteMagma:
         """The operation a <| b, the second coordinate of rho(a, b)."""
-        rows = tuple(tuple(self.pairs[(a - 1) * self.m + (b - 1)][1]
-                           for b in range(1, self.m + 1))
-                     for a in range(1, self.m + 1))
-        return FiniteMagma(self.m, rows)
+        return self._coordinate_op(1)
 
 
 def rack_to_solution(M: FiniteMagma) -> SetSolution:
@@ -152,26 +151,25 @@ def birack_laws_check(op1: FiniteMagma, op2: FiniteMagma) -> BirackCheck:
     if failure is not None:
         k, triple = failure
         return BirackCheck(False, f"exchange-{k}", triple)
-    m = op1.m
-    L = op1.op
-    R = op2.op
-    for x in range(1, m + 1):
-        row = L[x - 1]
-        if len(set(row)) != m:
-            seen = {}
-            for b, v in enumerate(row, start=1):
-                if v in seen:
-                    return BirackCheck(False, "left-translations", (x, seen[v], b))
-                seen[v] = b
-    for y in range(1, m + 1):
-        col = [R[x - 1][y - 1] for x in range(1, m + 1)]
-        if len(set(col)) != m:
-            seen = {}
-            for a, v in enumerate(col, start=1):
-                if v in seen:
-                    return BirackCheck(False, "right-translations", (seen[v], a, y))
-                seen[v] = a
+    for x, row in enumerate(op1.op, start=1):
+        repeat = _first_repeat(row)
+        if repeat:
+            return BirackCheck(False, "left-translations", (x,) + repeat)
+    for y, col in enumerate(zip(*op2.op), start=1):
+        repeat = _first_repeat(col)
+        if repeat:
+            return BirackCheck(False, "right-translations", repeat + (y,))
     return BirackCheck(True, None, None)
+
+
+def _first_repeat(line) -> Optional[Tuple[int, int]]:
+    """(i, j), 1-based, for the first position j whose value is at i < j."""
+    seen = {}
+    for j, v in enumerate(line, start=1):
+        if v in seen:
+            return seen[v], j
+        seen[v] = j
+    return None
 
 
 def exchange_laws_hold(op1: FiniteMagma, op2: FiniteMagma) -> bool:
@@ -187,12 +185,7 @@ def matrix_entries(rho: SetSolution) -> tuple:
     exactly one entry and the total count is m^2.
     """
     m = rho.m
-    out = []
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            c, d = rho.pairs[(a - 1) * m + (b - 1)]
-            out.append(((c - 1) * m + d, (a - 1) * m + b))
-    return tuple(out)
+    return tuple(((c - 1) * m + d, i) for i, (c, d) in enumerate(rho.pairs, start=1))
 
 
 def dense_matrix(rho: SetSolution) -> tuple:

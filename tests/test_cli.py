@@ -253,6 +253,14 @@ def test_law_scan_memory_cap_exits_one(capsys, monkeypatch):
         "ldlab.cli.main(['color', 'act', '--rack', 'dihedral:25', '--colors', '1,1', '1'])")
 
 
+def test_psi_memory_cap_exits_one(capsys, monkeypatch):
+    # the 8 x 8 grid of psi on A_3 needs 512 bytes
+    monkeypatch.setenv("LDLAB_MAX_MEM", "100")
+    code, out, err = run(capsys, ["cocycle", "psi", "--n", "3", "--q", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "LDLAB_MAX_MEM" in err
+
+
 def test_conj_class_memory_cap_exits_one(capsys, monkeypatch):
     # the 718 simple conjugators of B_6 are over a 100 kB cap
     monkeypatch.setenv("LDLAB_MAX_MEM", "100000")

@@ -1,9 +1,9 @@
-"""The element rule and the letter rule, at every entry point that reads one."""
+"""The element rule and the two letter rules, at every entry point that reads one."""
 
 import pytest
 
 from ldlab import braid, homology, invariants, laver, magma, ybe
-from ldlab.errors import DomainError, check_letters, element
+from ldlab.errors import DomainError, check_letters, element, free_letters
 
 D3 = magma.dihedral_quandle(3)
 A2 = laver.build_laver_table(2)
@@ -36,6 +36,11 @@ HOLES = {
     "act-float-letter": lambda: invariants.act_full(D3, (1, 2), (1.0,)),
     "shift-bool-colour": lambda: invariants.act_partial(invariants.IntegerShiftRack(),
                                                         (True, 2), (1,)),
+    "free-reduce-bool": lambda: invariants.free_reduce((True, -1)),
+    "free-colour-bool": lambda: invariants.act_partial(invariants.FreeConjugationRack(),
+                                                       ((True,), (2,)), (1,)),
+    "free-colour-float": lambda: invariants.act_partial(invariants.FreeConjugationRack(),
+                                                        ((1.5,), (2,)), (1,)),
     "closure-no-strands": lambda: invariants.count_closure_colourings(D3, (), 0),
     "quandle-no-strands": lambda: invariants.fundamental_quandle((), 0),
     "wirtinger-no-strands": lambda: invariants.wirtinger_group((), 0),
@@ -52,4 +57,5 @@ def test_rules_return_what_they_accept():
     assert element(3, 3) == 3
     assert check_letters([1, -2], 3) == (1, -2)
     assert check_letters((), 1) == ()
+    assert free_letters([-(10 ** 20), 3]) == (-(10 ** 20), 3)
     assert braid.BraidWord(3, [1, -2]).letters == (1, -2)

@@ -126,8 +126,51 @@ def test_cocycle_constraints_match_boundary_reference():
             want = list(boundary_constraints(M, degree))
             assert len(got) == M.m ** (degree + 1)
             assert got == want
-            # same entries in the same order, zero coefficients dropped
-            assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+            # the space is the kernel of the reference rows: no reader
+            # depends on the order of the entries within a row
+            rank, basis = homology.cocycle_space(M, degree)
+            kernel = linalg.kernel_basis([r for r in want if r], M.m ** degree)
+            assert (rank, [f.values for f in basis]) == (len(kernel), kernel)
+
+
+P = 2 ** 31 - 1
+
+
+def rank_mod_p(rows, dim):
+    """Rank over F_P of sparse integer rows, by plain Gaussian elimination."""
+    pivots = []  # (column, row scaled to 1 there, zero at every earlier pivot)
+    for row in rows:
+        v = [0] * dim
+        for j, c in row.items():
+            v[j] = c % P
+        for col, piv in pivots:
+            if v[col]:
+                a = v[col]
+                v = [(x - a * y) % P for x, y in zip(v, piv)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is not None:
+            inv = pow(v[col], P - 2, P)
+            pivots.append((col, [x * inv % P for x in v]))
+    return len(pivots)
+
+
+def test_cocycle_ranks_match_rank_over_a_large_prime():
+    rng = random.Random(4)
+    pi = [1, 2, 3, 4]
+    rng.shuffle(pi)
+    tables = [laver.build_laver_table(n).as_magma() for n in (1, 2, 3)]
+    tables += [magma.dihedral_quandle(3), magma.dihedral_quandle(5),
+               magma.affine_quandle(5, 2), magma.from_rows([pi] * 4)]
+    checked = 0
+    for M in tables:
+        for degree in (2, 3):
+            dim = M.m ** degree
+            if dim > 125:
+                continue
+            rank = dim - rank_mod_p(boundary_constraints(M, degree), dim)
+            assert homology.cocycle_space(M, degree)[0] == rank
+            checked += 1
+    assert checked == 13
 
 
 def test_face_ops():
@@ -270,6 +313,24 @@ def test_psi_basis_spans_cocycles_with_constant():
 def test_constant_not_a_coboundary():
     const = homology.cochain_from_function(A3, 2, lambda x, y: 1)
     assert homology.coboundary_preimage(A3, const) is None
+
+
+def test_psi_memory_guard(monkeypatch):
+    need = 8 * 8 * 8  # the 8 x 8 grid on A_3
+    monkeypatch.setenv("LDLAB_MAX_MEM", str(need - 1))
+    with pytest.raises(ResourceError, match="degree-2 cochain on 8 elements"):
+        homology.psi(1, 3)
+    monkeypatch.setenv("LDLAB_MAX_MEM", str(need))
+    assert grid_rows(homology.psi(1, 3)) == PSI3_GRIDS[1]
+
+
+def test_cocycle_rows_memory_guard(monkeypatch):
+    need = 32 * 2 * 8 ** 2  # the 64 degree-1 rows on A_3, two entries each
+    monkeypatch.setenv("LDLAB_MAX_MEM", str(need - 1))
+    with pytest.raises(ResourceError, match="degree-1 coboundary rows"):
+        next(homology._cocycle_constraints(A3, 2))
+    monkeypatch.setenv("LDLAB_MAX_MEM", str(need))
+    assert len(list(homology._cocycle_constraints(A3, 2))) == 8 ** 3
 
 
 def test_psi_range_check():
