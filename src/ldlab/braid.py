@@ -437,6 +437,33 @@ def _left_divide_simple(p: Perm, z: Braid) -> Optional[Braid]:
     return _nf(n, d, fs)
 
 
+def _conjugate_simple(p: Perm, x: Braid) -> Optional[Braid]:
+    """s^-1 . x . s for the simple s of the permutation p, neither 1 nor
+    Delta, and a positive x, or None when that is not positive.
+
+    It is x . s divided on the left by s, with one normalisation in two
+    cases.  When inf x = r >= 1, s^-1 Delta^r = Delta^(r-1)
+    tau^(r-1)(complement(s)), so the conjugate is always positive.  When
+    s is a prefix of the first factor f, it is (s^-1 f) f_2 ... f_k . s.
+    Otherwise x . s is normalised and divided as it stands.
+    """
+    n = x.n
+    if x.inf >= 1:
+        c = _complement(p)
+        if (x.inf - 1) % 2:
+            c = tau_perm(c, n)
+        d, fs = _normalize(n, (c,) + x.factors + (p,))
+        return _nf(n, x.inf - 1 + d, fs)
+    if x.factors:
+        f = x.factors[0]
+        q = perm_mul(perm_inv(p), f)
+        if perm_len(p) + perm_len(q) == perm_len(f):
+            d, fs = _normalize(n, (q,) + x.factors[1:] + (p,))
+            return _nf(n, d, fs)
+    d, fs = _normalize(n, x.factors + (p,))
+    return _left_divide_simple(p, _nf(n, d, fs))
+
+
 def _peel_parabolic(r: Braid, k: int) -> Tuple[List[Perm], Braid]:
     """(simples, rest) with r = s_1 ... s_m . rest and s_1 ... s_m the
     largest left divisor of a positive r in sigma_1 .. sigma_{k-1}.

@@ -1,11 +1,12 @@
-"""Shared error types, the three input rules, and the memory guard used by
+"""Shared error types, the four input rules, and the memory guard used by
 table/matrix allocators.
 
 An element of a finite system on {1, ..., m} is an int in that range; a
 letter of an n-strand braid word is an int l with 0 < |l| < n, standing
-for sigma_|l| or its inverse; a free-group letter is any nonzero int.
-Bools are not ints here, nor are floats or numpy integers.  `element`,
-`check_letters` and `free_letters` write these rules; every module calls them.
+for sigma_|l| or its inverse; a free-group letter is any nonzero int; a
+count is an int at least some floor.  Bools are not ints here, nor are
+floats or numpy integers.  `element`, `check_letters`, `free_letters` and
+`count` write these rules; every module calls them.
 """
 
 import os
@@ -45,6 +46,13 @@ def element(v, m: int, what: str = "element") -> int:
         return v
     why = "out of range" if _is_int(v) else "is not an integer in"
     raise DomainError(f"{what} {v!r} {why} 1..{m}")
+
+
+def count(v, lo: int, what: str) -> int:
+    """v itself when it is an int >= lo, else DomainError."""
+    if _is_int(v) and v >= lo:
+        return v
+    raise DomainError(f"{what} must be an integer >= {lo}, got {v!r}")
 
 
 def check_letters(seq, n: int) -> tuple:

@@ -271,10 +271,14 @@ def psi(q: int, n: int) -> Cochain:
     if not 1 <= q < N:
         raise DomainError(f"q = {q} out of range 1..{N - 1}")
     guard_alloc(8 * N * N, f"degree-2 cochain on {N} elements")
-    cols = range(1, N + 1)
-    in_col = [None] + [any(table.op(p, y) == q for p in cols) for y in cols]
-    vals = [int(in_col[y] and not in_col[table.op(x, y)]) for x in cols for y in cols]
-    return Cochain(N, 2, tuple(vals))
+    rows = [table.row(x) for x in range(1, N + 1)]
+    in_col = [False] * (N + 1)      # in_col[y]: q is a value in column y
+    for row in rows:
+        for y, v in enumerate(row, 1):
+            if v == q:
+                in_col[y] = True
+    return Cochain(N, 2, tuple(int(in_col[y] and not in_col[v])
+                               for row in rows for y, v in enumerate(row, 1)))
 
 
 def coboundary_preimage(M: FiniteMagma, f: Cochain) -> Optional[Cochain]:

@@ -116,7 +116,7 @@ def is_normal(seq: SplittingSeq) -> bool:
 # ---------------------------------------------------------------------------
 # order comparisons
 
-def _flipped_keys(n: int) -> Callable[[br.Braid], Any]:
+def _flipped_keys(n: int, of_reversals: bool = False) -> Callable[[br.Braid], Any]:
     """`flipped_key` on positive braids of B_n, as a function that keeps
     one memo over all its calls.
 
@@ -125,11 +125,13 @@ def _flipped_keys(n: int) -> Callable[[br.Braid], Any]:
     once on the way in.  As splitting(b) = splitting(flip(rest)) +
     (entry,) and reversal is a bijection, braids sharing a remainder, such
     as the members of one conjugacy class, split it once.  One sub-keyer,
-    with its own memo, keys the entries on n - 1 strands.
+    with its own memo, keys the entries on n - 1 strands.  With
+    of_reversals the function takes rev(b) in place of b and returns b's
+    key, so a caller holding reversals reverses nothing.
     """
     if n < 3:
         if n == 2:
-            return br.braid_length
+            return br.braid_length   # rev keeps the length
         raise DomainError(f"splittings need n >= 3, got {n}")
     sub = _flipped_keys(n - 1)
     memo: Dict[br.Braid, Tuple[Any, ...]] = {}
@@ -137,7 +139,7 @@ def _flipped_keys(n: int) -> Callable[[br.Braid], Any]:
     def key(b: br.Braid):
         chain = []
         keys: Tuple[Any, ...] = ()
-        r = br._rev(b)
+        r = b if of_reversals else br._rev(b)
         while r is not None:
             if r in memo:
                 keys = memo[r]

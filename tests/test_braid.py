@@ -471,6 +471,19 @@ def test_inverse_matches_per_factor_products():
         assert br.mul(x, y).is_trivial
 
 
+@pytest.mark.parametrize("n,maxlen", [(3, 6), (4, 4)])
+def test_conjugate_simple_matches_product_then_division(n, maxlen):
+    # times Delta and Delta^2 reaches the inf >= 1 case in both parities
+    simples = [s for s in br.all_simples(n) if s.factors]
+    for _, x in br.positive_braids_up_to(n, maxlen):
+        for power in (0, 1, 2):
+            y = br.mul(x, br.delta(n, power))
+            for s in simples:
+                p = s.factors[0]
+                assert br._conjugate_simple(p, y) == \
+                    br._left_divide_simple(p, br.mul(y, s)), (y, p)
+
+
 # ---------------------------------------------------------------------------
 # the reversal strip against the probing reference
 

@@ -11,6 +11,7 @@ from ldlab import braid as br
 from ldlab import conjugacy as cj
 from ldlab import invariants
 from ldlab.errors import DomainError, ResourceError
+from ldlab.order import flipped_key
 
 
 def W(letters):
@@ -194,6 +195,14 @@ def test_class_size_bound_is_explicit():
         cj.positive_conjugates(W((1, 2, 1)), max_members=2)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, 0, -1, "3"])
+@pytest.mark.parametrize("fn", [cj.positive_conjugates, cj.mu])
+def test_class_bound_must_be_a_positive_count(fn, bad):
+    # a singleton class, so a bound that is not a count cannot be reached
+    with pytest.raises(DomainError, match="max_members"):
+        fn(br.delta(3, 2), max_members=bad)
+
+
 def reference_class(b):
     """Member -> conjugator, by conjugating every member by every
     non-trivial simple, Delta included, as two full products."""
@@ -230,6 +239,15 @@ def test_flip_orbit_search_matches_all_simples_reference(n, max_len):
             assert _artin(n, root + u) == _artin(n, u + letters_of(m))
 
 
+@pytest.mark.parametrize("n,max_len", [(3, 6), (4, 4)])
+def test_mu_is_the_least_member_by_flipped_key(n, max_len):
+    # mu keys the reversed class; this keys the class itself
+    for x, cls in _classes(n, max_len):
+        least = min(cls.members, key=lambda m: flipped_key(m, n))
+        for b in (x, br.flip(x)):
+            assert cj.mu(b) == least, letters_of(b)
+
+
 @pytest.mark.parametrize("n,max_len", [(3, 5), (4, 3)])
 def test_class_bound_is_exact(n, max_len):
     # members arrive in flip pairs, and the bound holds after each of them
@@ -260,13 +278,17 @@ def test_simple_list_respects_memory_cap(monkeypatch):
 
 def test_enumeration_mul_count_is_pinned(count_calls):
     # a machine-independent cost: 29,728 products with the all-simples search
-    # and a per-member splitting, 12,848 on flip orbits with a shared key memo
+    # and a per-member splitting, 12,848 on flip orbits with a shared key
+    # memo, 944 with covered simples skipped and no witnesses in mu; the
+    # skip keeps the trial conjugations at 1,604 (1,944 without it)
     braids = [W(w) for w in itertools.product((1, 2), repeat=6)]
     calls = count_calls(br, "mul")
+    trials = count_calls(br, "_conjugate_simple")
     for b in braids:
         cj.positive_conjugates(b)
         cj.mu(b)
-    assert 0 < calls[0] <= 12848
+    assert 0 < calls[0] <= 944
+    assert 0 < trials[0] <= 1604
 
 
 def test_input_validation():
@@ -297,7 +319,7 @@ def test_flipped_sandwich_variant_holds_up_to_length_4():
 
 
 def test_sweep_enumerates_two_classes_per_row(count_calls):
-    calls = count_calls(cj, "positive_conjugates")
+    calls = count_calls(cj, "_class_links")
     rows = cj.sweep_mu_delta(4)
     assert len(rows) == 26 and calls[0] == 52
 

@@ -1,9 +1,10 @@
-"""The element rule and the two letter rules, at every entry point that reads one."""
+"""The element rule, the two letter rules and the count rule, at every entry
+point that reads one."""
 
 import pytest
 
 from ldlab import braid, homology, invariants, laver, magma, ybe
-from ldlab.errors import DomainError, check_letters, element, free_letters
+from ldlab.errors import DomainError, check_letters, count, element, free_letters
 
 D3 = magma.dihedral_quandle(3)
 A2 = laver.build_laver_table(2)
@@ -59,3 +60,12 @@ def test_rules_return_what_they_accept():
     assert check_letters((), 1) == ()
     assert free_letters([-(10 ** 20), 3]) == (-(10 ** 20), 3)
     assert braid.BraidWord(3, [1, -2]).letters == (1, -2)
+    assert count(1, 1, "bound") == 1
+    assert count(0, 0, "bound") == 0
+    assert count(10 ** 20, 1, "bound") == 10 ** 20
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, False, 0, -1, "1", None])
+def test_count_rule_rejects_non_counts(bad):
+    with pytest.raises(DomainError, match="bound must be an integer >= 1"):
+        count(bad, 1, "bound")

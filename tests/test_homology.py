@@ -291,6 +291,22 @@ def test_psi_grids_match_frozen():
         assert grid_rows(homology.psi(q, 3)) == rows
 
 
+def _psi_by_op(q, n):
+    """psi(q, n) from its definition, an op call per entry."""
+    table = laver.build_laver_table(n)
+    cols = range(1, table.size + 1)
+    in_col = {y: any(table.op(p, y) == q for p in cols) for y in cols}
+    return tuple(int(in_col[y] and not in_col[table.op(x, y)]) for x in cols for y in cols)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_psi_matches_op_reference(n):
+    for q in range(1, 2 ** n):
+        f = homology.psi(q, n)
+        assert (f.m, f.degree) == (2 ** n, 2)
+        assert f.values == _psi_by_op(q, n), q
+
+
 def test_psi_are_cocycles_and_coboundaries():
     for q in range(1, 8):
         f = homology.psi(q, 3)

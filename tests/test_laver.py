@@ -204,6 +204,13 @@ def test_input_validation():
         laver.left_powers(laver.build_general_table(3), 4, 1)
 
 
+def test_default_cap_admits_a13():
+    # the other side of the cap: build_laver_table(14) raises above
+    table = laver.build_laver_table(13)
+    assert table.size == 8192
+    assert table.row(8191) == [8192] * 8192
+
+
 def test_dense_respects_memory_cap(monkeypatch):
     monkeypatch.setenv("LDLAB_MAX_MEM", "64")
     t = laver.build_laver_table(3, max_n=13)
