@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, check_letters, element
+from .errors import DomainError, _is_int, check_letters, count, element
 
 Perm = Tuple[int, ...]
 
@@ -145,13 +145,14 @@ class Braid:
     factors: Tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"strand count must be >= 2, got {self.n}")
-        idp = identity_perm(self.n)
-        w0 = w0_perm(self.n)
+        n = count(self.n, 2, "strand count")
+        if not _is_int(self.inf):
+            raise DomainError(f"inf must be an integer, got {self.inf!r}")
+        idp = identity_perm(n)
+        w0 = w0_perm(n)
         for f in self.factors:
-            if tuple(sorted(f)) != idp:
-                raise DomainError(f"not a permutation of 1..{self.n}: {f}")
+            if tuple(sorted(element(v, n, "factor entry") for v in f)) != idp:
+                raise DomainError(f"not a permutation of 1..{n}: {f}")
             if f == idp or f == w0:
                 raise DomainError("normal-form factors exclude 1 and Delta")
         for a, b in zip(self.factors, self.factors[1:]):
@@ -187,9 +188,8 @@ class BraidWord:
     letters: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"strand count must be >= 2, got {self.n}")
-        object.__setattr__(self, "letters", check_letters(self.letters, self.n))
+        object.__setattr__(self, "letters",
+                           check_letters(self.letters, count(self.n, 2, "strand count")))
 
 
 def parse_word(text: str, n: int) -> BraidWord:
@@ -203,8 +203,16 @@ def parse_word(text: str, n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
+def _word(w) -> BraidWord:
+    """The word rule where a word's strand count is read: w itself when it
+    is a BraidWord, else DomainError."""
+    if isinstance(w, BraidWord):
+        return w
+    raise DomainError(f"expected a BraidWord, got {type(w).__name__}")
+
+
 def render_word(w: BraidWord) -> str:
-    return " ".join(str(l) for l in w.letters)
+    return " ".join(str(l) for l in _word(w).letters)
 
 
 def _normalize(n: int, perms: Sequence[Perm]) -> Tuple[int, Tuple[Perm, ...]]:
@@ -241,12 +249,22 @@ def _normalize(n: int, perms: Sequence[Perm]) -> Tuple[int, Tuple[Perm, ...]]:
     return d, tuple(fs)
 
 
+def _product(n: int, perms: Sequence[Perm], inf: int = 0) -> Braid:
+    """Delta^inf times the product of the simples of perms, normalised once."""
+    d, fs = _normalize(n, perms)
+    return _nf(n, inf + d, fs)
+
+
 def identity(n: int) -> Braid:
     return Braid(n, 0, ())
 
 
 def sigma(n: int, i: int) -> Braid:
-    element(i, n - 1, "sigma index")
+    element(i, count(n, 2, "strand count") - 1, "sigma index")
+    return _sigma(n, i)
+
+
+def _sigma(n: int, i: int) -> Braid:
     if n == 2:
         return _nf(2, 1, ())
     return _nf(n, 0, (_swap_entries(identity_perm(n), i),))
@@ -259,12 +277,13 @@ def delta(n: int, power: int = 1) -> Braid:
 def delta_word(n: int) -> Tuple[int, ...]:
     """Positive word for Delta_n: sigma_1 . sigma_2 sigma_1 . ... ."""
     out = []
-    for i in range(1, n):
+    for i in range(1, count(n, 2, "strand count")):
         out.extend(range(i, 0, -1))
     return tuple(out)
 
 
-def mul(u: Braid, v: Braid) -> Braid:
+def mul(u, v) -> Braid:
+    u, v = _lift(u), _lift(v)
     if u.n != v.n:
         raise DomainError(f"strand mismatch: {u.n} vs {v.n}")
     n = u.n
@@ -275,13 +294,14 @@ def mul(u: Braid, v: Braid) -> Braid:
     return _nf(n, u.inf + v.inf + d, fs)
 
 
-def inverse(u: Braid) -> Braid:
+def inverse(u) -> Braid:
     """The inverse in closed form (El-Rifai and Morton, Q. J. Math. 45, 1994).
 
     A^-1 = complement(A) . Delta^-1, and a Delta^-1 moved left over a simple
     tau-conjugates it, so (Delta^r A_1 ... A_m)^-1 = Delta^(-r-m) B_m ... B_1
     with B_j = tau^(r+j)(complement(A_j)), which is already left-weighted.
     """
+    u = _lift(u)
     n, r = u.n, u.inf
     fs = tuple(_complement(f) if (r + j) % 2 == 0 else tau_perm(_complement(f), n)
                for j, f in enumerate(u.factors, start=1))
@@ -303,14 +323,16 @@ def _rev(b: Braid) -> Braid:
 
 
 def from_word(w: BraidWord) -> Braid:
-    out = identity(w.n)
+    n = _word(w).n
+    out = identity(n)
     for l in w.letters:
-        g = sigma(w.n, abs(l))
+        g = _sigma(n, abs(l))
         out = mul(out, g if l > 0 else inverse(g))
     return out
 
 
-def to_word(b: Braid) -> BraidWord:
+def to_word(b) -> BraidWord:
+    b = _lift(b)
     letters = []
     dw = delta_word(b.n)
     if b.inf >= 0:
@@ -323,11 +345,21 @@ def to_word(b: Braid) -> BraidWord:
 
 
 def _lift(x) -> Braid:
+    """The braid-value rule: x itself when it is a Braid, the braid of x
+    when it is a BraidWord, else DomainError."""
     if isinstance(x, Braid):
         return x
     if isinstance(x, BraidWord):
         return from_word(x)
     raise DomainError(f"expected a braid or braid word, got {type(x).__name__}")
+
+
+def _positive(x, what: str) -> Braid:
+    """The lifted x when it is a positive braid, else DomainError(what)."""
+    b = _lift(x)
+    if b.inf < 0:
+        raise DomainError(what)
+    return b
 
 
 def equal(u, v) -> bool:
@@ -341,8 +373,9 @@ def is_positive(w) -> bool:
     return _lift(w).inf >= 0
 
 
-def braid_length(b: Braid) -> int:
+def braid_length(b) -> int:
     """Crossing number; only meaningful for positive braids."""
+    b = _lift(b)
     n = b.n
     return b.inf * (n * (n - 1) // 2) + sum(perm_len(f) for f in b.factors)
 
@@ -350,24 +383,17 @@ def braid_length(b: Braid) -> int:
 # ---------------------------------------------------------------------------
 # divisibility lattice on the positive monoid
 
-def _require_positive(b: Braid, what: str) -> None:
-    if b.inf < 0:
-        raise DomainError(f"{what} must be a positive braid")
-
-
 def right_divides(a, b) -> bool:
     """Whether b = c a for some positive c."""
-    ba, bb = _lift(a), _lift(b)
-    _require_positive(ba, "divisor")
-    _require_positive(bb, "dividend")
+    ba = _positive(a, "divisor must be a positive braid")
+    bb = _positive(b, "dividend must be a positive braid")
     return mul(bb, inverse(ba)).inf >= 0
 
 
 def left_divides(a, b) -> bool:
     """Whether b = a c for some positive c."""
-    ba, bb = _lift(a), _lift(b)
-    _require_positive(ba, "divisor")
-    _require_positive(bb, "dividend")
+    ba = _positive(a, "divisor must be a positive braid")
+    bb = _positive(b, "dividend must be a positive braid")
     return mul(inverse(ba), bb).inf >= 0
 
 
@@ -393,47 +419,41 @@ def _meet(p: Perm, q: Perm) -> Perm:
 def left_gcd(a, b) -> Braid:
     """The greatest common left divisor of two positive braids, peeled a
     simple at a time: gcd(a, b) = s . gcd(s^-1 a, s^-1 b), s the heads' meet."""
-    ba, bb = _lift(a), _lift(b)
+    ba, bb = (_positive(x, "argument must be a positive braid") for x in (a, b))
     if ba.n != bb.n:
         raise DomainError(f"strand mismatch: {ba.n} vs {bb.n}")
-    _require_positive(ba, "argument")
-    _require_positive(bb, "argument")
     n = ba.n
     peeled = []
     while True:
         m = _meet(_head(ba), _head(bb))
         if m == identity_perm(n):
-            d, fs = _normalize(n, peeled)
-            return _nf(n, d, fs)
+            return _product(n, peeled)
         peeled.append(m)
         ba, bb = _left_divide_simple(m, ba), _left_divide_simple(m, bb)
 
 
-def _left_divide_simple(p: Perm, z: Braid) -> Optional[Braid]:
-    """s^-1 . z for the simple s of the permutation p and a positive z, or
-    None if s does not left-divide z.
+def _left_divide_simple(p: Perm, z: Braid, after: Tuple[Perm, ...] = ()) -> Optional[Braid]:
+    """s^-1 . z . a for the simple s of the permutation p, a positive z and
+    the product a of the simples of `after`, normalised once; None if s
+    does not left-divide z.
 
     Delta = s . complement(s), so s^-1 Delta^r = Delta^(r-1) tau^(r-1)(complement(s))
     when r >= 1.  Otherwise s left-divides z exactly when it is a prefix
-    of the first factor in the weak order, i.e. when the lengths add up:
-    perm_len(s) + perm_len(s^-1 f) == perm_len(f).
+    of the first factor f (1 when z = 1) in the weak order, i.e. when the
+    lengths add up: perm_len(s) + perm_len(s^-1 f) == perm_len(f).
     """
     n = z.n
     if z.inf >= 1:
         c = _complement(p)
         if (z.inf - 1) % 2:
             c = tau_perm(c, n)
-        d, fs = _normalize(n, (c,) + z.factors)
+        d, fs = _normalize(n, (c,) + z.factors + after)
         return _nf(n, z.inf - 1 + d, fs)
-    if p == identity_perm(n):
-        return z
-    if not z.factors:
-        return None
-    f = z.factors[0]
+    f = z.factors[0] if z.factors else identity_perm(n)
     q = perm_mul(perm_inv(p), f)
     if perm_len(p) + perm_len(q) != perm_len(f):
         return None
-    d, fs = _normalize(n, (q,) + z.factors[1:])
+    d, fs = _normalize(n, (q,) + z.factors[1:] + after)
     return _nf(n, d, fs)
 
 
@@ -441,27 +461,14 @@ def _conjugate_simple(p: Perm, x: Braid) -> Optional[Braid]:
     """s^-1 . x . s for the simple s of the permutation p, neither 1 nor
     Delta, and a positive x, or None when that is not positive.
 
-    It is x . s divided on the left by s, with one normalisation in two
-    cases.  When inf x = r >= 1, s^-1 Delta^r = Delta^(r-1)
-    tau^(r-1)(complement(s)), so the conjugate is always positive.  When
-    s is a prefix of the first factor f, it is (s^-1 f) f_2 ... f_k . s.
-    Otherwise x . s is normalised and divided as it stands.
+    When inf x >= 1 or s is a prefix of the first factor, s divides x on
+    the left and the quotient times s is normalised once.  Otherwise x . s
+    is normalised and divided as it stands.
     """
-    n = x.n
-    if x.inf >= 1:
-        c = _complement(p)
-        if (x.inf - 1) % 2:
-            c = tau_perm(c, n)
-        d, fs = _normalize(n, (c,) + x.factors + (p,))
-        return _nf(n, x.inf - 1 + d, fs)
-    if x.factors:
-        f = x.factors[0]
-        q = perm_mul(perm_inv(p), f)
-        if perm_len(p) + perm_len(q) == perm_len(f):
-            d, fs = _normalize(n, (q,) + x.factors[1:] + (p,))
-            return _nf(n, d, fs)
-    d, fs = _normalize(n, x.factors + (p,))
-    return _left_divide_simple(p, _nf(n, d, fs))
+    y = _left_divide_simple(p, x, (p,))
+    if y is None:
+        y = _left_divide_simple(p, _product(x.n, x.factors + (p,)))
+    return y
 
 
 def _peel_parabolic(r: Braid, k: int) -> Tuple[List[Perm], Braid]:
@@ -492,16 +499,14 @@ def _strip_parabolic(b: Braid, k: int) -> Tuple[Braid, Braid]:
     sigma_1 .. sigma_{k-1}: the peel of _rev(b), with d the product of
     the reversed simples."""
     peeled, rest = _peel_parabolic(_rev(b), k)
-    d, fs = _normalize(b.n, [perm_inv(s) for s in reversed(peeled)])
-    return _nf(b.n, d, fs), _rev(rest)
+    return _product(b.n, [perm_inv(s) for s in reversed(peeled)]), _rev(rest)
 
 
 def max_right_divisor_in_parabolic(b, k: int) -> Braid:
     """Largest right-divisor using only sigma_1 .. sigma_{k-1}."""
-    bb = _lift(b)
-    _require_positive(bb, "argument")
+    bb = _positive(b, "argument must be a positive braid")
     n = bb.n
-    if not 2 <= k <= n:
+    if count(k, 2, "parabolic rank") > n:
         raise DomainError(f"parabolic rank {k} out of range for {n} strands")
     return _strip_parabolic(bb, k)[0]
 
@@ -512,7 +517,7 @@ def max_right_divisor_in_parabolic(b, k: int) -> Braid:
 def flip(b, n: Optional[int] = None) -> Braid:
     """The involutive automorphism sigma_i -> sigma_{n-i}."""
     bb = _lift(b)
-    if n is not None and n != bb.n:
+    if n is not None and count(n, 2, "strand count") != bb.n:
         raise DomainError(f"flip ambient {n} does not match braid on {bb.n} strands")
     m = bb.n
     return _nf(m, bb.inf, tuple(tau_perm(f, m) for f in bb.factors))
@@ -533,13 +538,15 @@ def _moved(b: Braid, ambient: int, offset: int) -> Braid:
 
 def shift(b, ambient: int) -> Braid:
     """The endomorphism sh: sigma_i -> sigma_{i+1}, into B_ambient."""
-    return _moved(_lift(b), ambient, 1)
+    return _moved(_lift(b), count(ambient, 2, "ambient strand count"), 1)
 
 
 def embed(b, ambient: int) -> Braid:
     """The same braid viewed in B_ambient (idle strands added on the right)."""
     bb = _lift(b)
-    return bb if ambient == bb.n else _moved(bb, ambient, 0)
+    if count(ambient, 2, "ambient strand count") == bb.n:
+        return bb
+    return _moved(bb, ambient, 0)
 
 
 def shifted_conj(beta, gamma, ambient: int) -> Braid:
@@ -574,6 +581,7 @@ def delta_decomposition(w) -> Tuple[int, Braid]:
 
 def positive_braids_up_to(n: int, max_len: int) -> Iterator[Tuple[int, Braid]]:
     """Yield (crossing number, braid) for all positive braids of length <= max_len."""
+    count(max_len, 0, "max_len")
     layer = {identity(n)}
     yield 0, identity(n)
     for length in range(1, max_len + 1):
@@ -588,6 +596,5 @@ def positive_braids_up_to(n: int, max_len: int) -> Iterator[Tuple[int, Braid]]:
 
 def all_simples(n: int) -> Iterator[Braid]:
     """All simple braids (divisors of Delta_n), the identity included."""
-    for p in itertools.permutations(range(1, n + 1)):
-        d, fs = _normalize(n, (p,))
-        yield _nf(n, d, fs)
+    for p in itertools.permutations(range(1, count(n, 2, "strand count") + 1)):
+        yield _product(n, (p,))

@@ -14,7 +14,7 @@ import argparse
 import functools
 import sys
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, count
 
 
 class _UsageError(Exception):
@@ -270,9 +270,7 @@ def _cmd_game_g3(args):
     from . import games
 
     word = br.parse_word(args.word, 3)
-    cap = games.DEFAULT_STEP_CAP if args.cap is None else args.cap
-    if cap < 0:
-        raise DomainError(f"step cap must be >= 0, got {cap}")
+    cap = games.DEFAULT_STEP_CAP if args.cap is None else count(args.cap, 0, "step cap")
     lines = []
     if args.trace:
         trace = games.g3_trace(word, limit=cap + 1)

@@ -58,11 +58,9 @@ def _lift_positive(beta, n: Optional[int]) -> br.Braid:
         if n is None:
             raise DomainError("a braid given as text needs an explicit strand count")
         beta = br.parse_word(beta, n)
-    b = br._lift(beta)
-    if n is not None and b.n != n:
+    b = br._positive(beta, "conjugacy enumeration needs a positive braid")
+    if n is not None and count(n, 2, "strand count") != b.n:
         raise DomainError(f"braid lives in B_{b.n}, not B_{n}")
-    if b.inf < 0:
-        raise DomainError("conjugacy enumeration needs a positive braid")
     return b
 
 
@@ -195,7 +193,7 @@ def mu(beta, n: Optional[int] = None,
     """
     b = _lift_positive(beta, n)
     reversals = _class_links(br._rev(b), max_members)
-    return br._rev(min(reversals, key=_flipped_keys(b.n, of_reversals=True)))
+    return br._rev(min(reversals, key=_flipped_keys(b.n)))
 
 
 def is_conjugacy_min(beta, n: Optional[int] = None) -> bool:

@@ -1,12 +1,25 @@
-"""Shared error types, the four input rules, and the memory guard used by
+"""Shared error types, the input rules, and the memory guard used by
 table/matrix allocators.
 
-An element of a finite system on {1, ..., m} is an int in that range; a
-letter of an n-strand braid word is an int l with 0 < |l| < n, standing
-for sigma_|l| or its inverse; a free-group letter is any nonzero int; a
-count is an int at least some floor.  Bools are not ints here, nor are
-floats or numpy integers.  `element`, `check_letters`, `free_letters` and
-`count` write these rules; every module calls them.
+The rules, each written once here and called by every module:
+
+- an integer is an `int`; bools, floats and numpy integers are not
+  (`_is_int`, which signed values such as a Delta power or a linear
+  coefficient use as they are);
+- a count (a size, degree, strand count, exponent, cap, bound or level)
+  is an integer at least some floor (`count`);
+- an element of a finite system on {1, ..., m} is an integer in that
+  range (`element`);
+- a letter of an n-strand braid word is an integer l with 0 < |l| < n,
+  standing for sigma_|l| or its inverse, and a word is a `BraidWord` on
+  n strands or a sequence of letters: a `Braid` has no letters and is
+  refused (`check_letters`);
+- a free-group letter is a nonzero integer (`free_letters`).
+
+The braid rules live in `braid`: a function that reads a braid takes a
+`Braid` or a `BraidWord` through `braid._lift`, one that needs a positive
+braid through `braid._positive`, and one that reads a word's strand count
+takes a `BraidWord` only, through `braid._word`.
 """
 
 import os
@@ -50,16 +63,21 @@ def element(v, m: int, what: str = "element") -> int:
 
 def count(v, lo: int, what: str) -> int:
     """v itself when it is an int >= lo, else DomainError."""
-    if _is_int(v) and v >= lo:
+    if (type(v) is int or _is_int(v)) and v >= lo:
         return v
     raise DomainError(f"{what} must be an integer >= {lo}, got {v!r}")
 
 
-def check_letters(seq, n: int) -> tuple:
-    """The letters of seq as a tuple, each valid for an n-strand braid, n >= 1."""
-    if n < 1:
-        raise DomainError(f"strand count must be >= 1, got {n}")
-    letters = tuple(seq)
+def check_letters(word, n: int) -> tuple:
+    """The letters of word, a BraidWord on n strands or a sequence of
+    letters, as a tuple, each valid for an n-strand braid, n >= 1."""
+    count(n, 1, "strand count")
+    try:
+        letters = tuple(getattr(word, "letters", word))
+    except TypeError:
+        raise DomainError(f"expected a braid word, got {type(word).__name__}") from None
+    if getattr(word, "n", n) != n:
+        raise DomainError(f"word on {word.n} strands where {n} are expected")
     for l in letters:
         if not ((type(l) is int or _is_int(l)) and 0 < abs(l) < n):
             raise DomainError(f"letter {l!r} out of range for {n} strands")
@@ -84,9 +102,7 @@ def max_mem_bytes() -> int:
         value = int(raw)
     except ValueError:
         raise DomainError(f"LDLAB_MAX_MEM must be an integer byte count, got {raw!r}") from None
-    if value <= 0:
-        raise DomainError("LDLAB_MAX_MEM must be positive")
-    return value
+    return count(value, 1, "LDLAB_MAX_MEM")
 
 
 def guard_alloc(nbytes: int, what: str) -> None:

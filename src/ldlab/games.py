@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from . import braid as br
-from .errors import DomainError, ResourceError, StepCapError
+from .errors import DomainError, ResourceError, StepCapError, count
 from .order import (Bp3NormalForm, bp3_normal_exponents, ordinal_cmp,
                     rank_bp3)
 
@@ -39,10 +39,8 @@ class G3State:
 
     def __post_init__(self):
         Bp3NormalForm(self.exponents)
-        if self.t < 1:
-            raise DomainError(f"step index must be >= 1, got {self.t}")
-        if self.steps < 0:
-            raise DomainError(f"step count must be >= 0, got {self.steps}")
+        count(self.t, 1, "step index")
+        count(self.steps, 0, "step count")
 
     @property
     def is_trivial(self) -> bool:
@@ -72,9 +70,7 @@ def _advance(exps: list, t: int) -> None:
 def g3_step(state: G3State, t: Optional[int] = None) -> G3State:
     if state.is_trivial:
         raise DomainError("the game is over: the state is already trivial")
-    used = state.t if t is None else t
-    if used < 1:
-        raise DomainError(f"step index must be >= 1, got {used}")
+    used = state.t if t is None else count(t, 1, "step index")
     exps = list(state.exponents)
     _advance(exps, used)
     return G3State(tuple(exps), used + 1, state.steps + 1)
@@ -82,10 +78,8 @@ def g3_step(state: G3State, t: Optional[int] = None) -> G3State:
 
 def g3_run(state: G3State, max_steps: int) -> G3State:
     """Advance up to max_steps steps, batching pure tail countdowns."""
-    if max_steps < 0:
-        raise DomainError(f"cannot run {max_steps} steps")
     exps = list(state.exponents)
-    t, steps, budget = state.t, state.steps, max_steps
+    t, steps, budget = state.t, state.steps, count(max_steps, 0, "step cap")
     while budget and exps:
         tail = exps[-1]
         if tail:
@@ -114,6 +108,8 @@ def g3_length(beta, cap: int = DEFAULT_STEP_CAP) -> int:
 
 def g3_trace(beta, limit: Optional[int] = None) -> Tuple[br.BraidWord, ...]:
     """The state sequence from beta, at most limit entries, words out."""
+    if limit is not None:
+        count(limit, 1, "trace limit")
     state = g3_start(beta)
     if state.is_trivial:
         return ()
@@ -158,10 +154,10 @@ def ackermann(r: int, x: int, bound: int = DEFAULT_ACK_BOUND) -> int:
     Each level keeps a cursor that only moves forward, so the total work
     stays proportional to the bound even at level 3.
     """
-    if not 0 <= r <= 3:
+    if count(r, 0, "level") > 3:
         raise DomainError(f"level must be between 0 and 3, got {r}")
-    if x < 0:
-        raise DomainError(f"argument must be >= 0, got {x}")
+    count(x, 0, "argument")
+    count(bound, 0, "bound")
     args = [0] * (r + 1)
     vals = [None] * (r + 1)
 

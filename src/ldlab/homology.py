@@ -29,7 +29,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .errors import DomainError, element, guard_alloc
+from .errors import DomainError, count, element, guard_alloc
 from .magma import FiniteMagma, LawCheck
 
 Chain = Dict[tuple, int]
@@ -45,11 +45,9 @@ def _check_tuple(m: int, tup: tuple) -> tuple:
 
 def face_op(M: FiniteMagma, kind: str, i: int, tup: tuple) -> tuple:
     """The i-th face (1-based) of a k-tuple, kind '*' or '0'."""
-    k = len(tup)
     if kind not in _KINDS:
         raise DomainError(f"face kind must be one of {_KINDS}, got {kind!r}")
-    if not 1 <= i <= k:
-        raise DomainError(f"face index {i} out of range 1..{k}")
+    element(i, len(tup), "face index")
     _check_tuple(M.m, tup)
     if kind == "0":
         return tup[:i - 1] + tup[i:]
@@ -115,7 +113,7 @@ def theta_prime(M: FiniteMagma, arg) -> Chain:
 def contracting_homotopy_check(M: FiniteMagma, kmax: int) -> bool:
     """theta del + del theta = id on every basis tuple of degree <= kmax,
     for both homotopies, del = del*."""
-    for k in range(0, kmax + 1):
+    for k in range(0, count(kmax, 0, "degree") + 1):
         tuples = [()] if k == 0 else product(range(1, M.m + 1), repeat=k)
         for tup in tuples:
             for h in (theta, theta_prime):
@@ -143,9 +141,8 @@ class Cochain:
     values: tuple
 
     def __post_init__(self):
-        if self.m < 1 or self.degree < 0:
-            raise DomainError(f"cochain needs m >= 1 and degree >= 0, got m = {self.m}, "
-                              f"degree = {self.degree}")
+        count(self.m, 1, "carrier size")
+        count(self.degree, 0, "cochain degree")
         if len(self.values) != self.m ** self.degree:
             raise DomainError(f"cochain needs {self.m ** self.degree} values, got {len(self.values)}")
 
@@ -162,8 +159,7 @@ class Cochain:
 
 
 def cochain_from_function(M: FiniteMagma, degree: int, fn) -> Cochain:
-    if degree < 0:
-        raise DomainError(f"cochain degree must be >= 0, got {degree}")
+    count(degree, 0, "cochain degree")
     guard_alloc(8 * M.m ** degree, f"degree-{degree} cochain on {M.m} elements")
     vals = [fn(*tup) for tup in product(range(1, M.m + 1), repeat=degree)]
     return Cochain(M.m, degree, tuple(vals))
@@ -243,9 +239,7 @@ def _cocycle_constraints(M: FiniteMagma, degree: int):
 
 def cocycle_space(M: FiniteMagma, degree: int) -> Tuple[int, List[Cochain]]:
     """Saturated Z-basis of the degree-`degree` rack cocycles."""
-    if degree < 0:
-        raise DomainError(f"cocycle degree must be >= 0, got {degree}")
-    dim = M.m ** degree
+    dim = M.m ** count(degree, 0, "cocycle degree")
     guard_alloc(8 * dim * dim, f"cocycle kernel in dimension {dim}")
     rows = (row for row in _cocycle_constraints(M, degree) if row)
     basis = linalg.kernel_basis(rows, dim)
@@ -268,8 +262,7 @@ def psi(q: int, n: int) -> Cochain:
 
     table = build_laver_table(n)
     N = table.size
-    if not 1 <= q < N:
-        raise DomainError(f"q = {q} out of range 1..{N - 1}")
+    element(q, N - 1, "q")
     guard_alloc(8 * N * N, f"degree-2 cochain on {N} elements")
     rows = [table.row(x) for x in range(1, N + 1)]
     in_col = [False] * (N + 1)      # in_col[y]: q is a value in column y
@@ -283,8 +276,7 @@ def psi(q: int, n: int) -> Cochain:
 
 def coboundary_preimage(M: FiniteMagma, f: Cochain) -> Optional[Cochain]:
     """A degree-(k-1) integral cochain g with delta(g) = f, when one exists."""
-    if f.degree < 1:
-        raise DomainError(f"a coboundary has degree >= 1, got {f.degree}")
+    count(f.degree, 1, "coboundary degree")
     if f.m != M.m:
         raise DomainError(f"need a cochain over the same carrier, got {f.m} elements for {M.m}")
     low = f.degree - 1

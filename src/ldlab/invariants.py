@@ -15,8 +15,9 @@ sigma_i sigma_i^{-1} fixes every vector.
 hands it a multiplication and a division: table lookups, a backend's
 `mul`/`div`, formal quandle terms, or free-group conjugation.  A crossing
 is blocked when the product or quotient does not exist; the action then
-returns None.  Table colours, braid letters and free-group letters are
-checked by the rules in `errors`; anything else raises DomainError.
+returns None.  Table colours, braid words and free-group letters are
+checked by the rules in `errors`: a word is a BraidWord or a sequence of
+letters, never a Braid.  Anything else raises DomainError.
 """
 
 from dataclasses import dataclass
@@ -24,16 +25,10 @@ from functools import partial
 from itertools import product
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import DomainError, check_letters, element, free_letters
+from .errors import DomainError, _is_int, check_letters, count, element, free_letters
 from .magma import (FiniteMagma, QuandleTerm, _gen_name, bar_term, gen,
                     is_ld, is_left_cancellative, is_rack, left_inverse_op,
                     op_term)
-
-
-def _letters(w, m: int) -> Tuple[int, ...]:
-    """Word letters (of a BraidWord or a plain sequence) validated against
-    an m-strand diagram."""
-    return check_letters(getattr(w, "letters", w), m)
 
 
 def _propagate(vec: list, letters, star: Callable, bar: Callable) -> Optional[tuple]:
@@ -71,7 +66,7 @@ def _table_ops(M: FiniteMagma) -> Tuple[Callable, Callable]:
 def act_positive(M: FiniteMagma, colours, w, checked: bool = True) -> tuple:
     """Propagate colours through a positive word; needs the LD law only."""
     vec = _table_colours(M, colours)
-    letters = _letters(w, len(vec))
+    letters = check_letters(w, len(vec))
     if checked and not is_ld(M):
         raise DomainError("operation table is not left self-distributive")
     return _propagate(vec, letters, _table_ops(M)[0], _positive_only)
@@ -87,7 +82,7 @@ def act_full(M: FiniteMagma, colours, w, checked: bool = True) -> Optional[tuple
     if checked and not is_rack(M):
         raise DomainError("full action needs a rack (LD with bijective rows)")
     vec = _table_colours(M, colours)
-    return _propagate(vec, _letters(w, len(vec)), *_table_ops(M))
+    return _propagate(vec, check_letters(w, len(vec)), *_table_ops(M))
 
 
 class IntegerShiftRack:
@@ -111,7 +106,7 @@ class IntegerShiftRack:
         return v
 
     def check_colour(self, v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool) and self._clip(v) is not None
+        return _is_int(v) and self._clip(v) is not None
 
     def mul(self, a: int, b: int) -> Optional[int]:
         return self._clip(b + 1)
@@ -152,7 +147,7 @@ def act_partial(backend, colours, w) -> Optional[tuple]:
     for v in vec:
         if not backend.check_colour(v):
             raise DomainError(f"colour {v!r} is not in the carrier")
-    return _propagate(vec, _letters(w, len(vec)), backend.mul, backend.div)
+    return _propagate(vec, check_letters(w, len(vec)), backend.mul, backend.div)
 
 
 def free_reduce(word: Sequence[int]) -> tuple:
@@ -181,7 +176,7 @@ def render_free_word(word: Sequence[int], names: Optional[list] = None) -> str:
 
 def count_closure_colourings(M: FiniteMagma, w, m: int) -> int:
     """Vectors fixed by the whole word: colourings of the closed diagram."""
-    letters = _letters(w, m)
+    letters = check_letters(w, m)
     if not is_rack(M):
         raise DomainError("closure counting needs a rack")
     star, bar = _table_ops(M)
@@ -208,7 +203,7 @@ def cocycle_invariant(M: FiniteMagma, phi, w, colours, checked: bool = True) -> 
         total += phi(a, b)
         return mul(a, b)
 
-    _propagate(vec, _letters(w, len(vec)), star, _positive_only)
+    _propagate(vec, check_letters(w, len(vec)), star, _positive_only)
     return total
 
 
@@ -220,6 +215,7 @@ class QuandlePresentation:
     relations: Tuple[Tuple[QuandleTerm, QuandleTerm], ...]
 
     def __post_init__(self):
+        count(self.m, 1, "generator count")
         for lhs, rhs in self.relations:
             for term in (lhs, rhs):
                 if _max_gen(term) > self.m:
@@ -256,16 +252,16 @@ def _render_outer(term: QuandleTerm) -> str:
 
 def fundamental_quandle(w, m: int) -> QuandlePresentation:
     """Propagate formal terms and equate each output with its input generator."""
-    vec = _propagate([gen(i) for i in range(1, m + 1)], _letters(w, m),
-                     op_term, bar_term)
+    letters = check_letters(w, m)
+    vec = _propagate([gen(i) for i in range(1, m + 1)], letters, op_term, bar_term)
     return QuandlePresentation(m, tuple((t, gen(i)) for i, t in enumerate(vec, start=1)))
 
 
 def _wirtinger_colours(w, m: int) -> tuple:
     """Output colours of the generators 1..m, read in the free conjugation rack."""
+    letters = check_letters(w, m)
     rack = FreeConjugationRack()
-    return _propagate([(i,) for i in range(1, m + 1)], _letters(w, m),
-                      rack.mul, rack.div)
+    return _propagate([(i,) for i in range(1, m + 1)], letters, rack.mul, rack.div)
 
 
 def wirtinger_relations(w, m: int) -> Tuple[tuple, ...]:
@@ -296,10 +292,8 @@ def laver_fraction_colouring(n: int, w, mid, mode: str = "fraction") -> Tuple[tu
     """
     from . import braid, laver
     m = len(mid)
-    if m < 2:
-        raise DomainError(f"need at least 2 strands, got {m}")
+    word = braid.BraidWord(m, w)
     table = laver.build_laver_table(n).as_magma()
-    word = braid.BraidWord(m, _letters(w, m))
     if mode == "fraction":
         b1, b2 = braid.fraction_decomposition(word)
         w1 = braid.to_word(b1).letters

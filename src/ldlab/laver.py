@@ -19,7 +19,7 @@ strictly.  `LaverTable` stores just the prefix of each row up to its first
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceError, element, guard_alloc
+from .errors import ResourceError, count, element, guard_alloc
 from .magma import FiniteMagma, is_ld
 
 DEFAULT_MAX_N = 13
@@ -82,8 +82,7 @@ class LaverTable:
 
 def build_general_table(N: int) -> GeneralTable:
     """Fill the size-N table row by row from p = N down to 1."""
-    if N < 1:
-        raise DomainError(f"table size must be >= 1, got {N}")
+    count(N, 1, "table size")
     _dense_guard(N, f"general table of size {N}")
     rows: list = [None] * N
     # Row N only ever consults column 1, so it closes on its own:
@@ -109,9 +108,8 @@ def build_general_table(N: int) -> GeneralTable:
 def build_laver_table(n: int, max_n: int = DEFAULT_MAX_N) -> LaverTable:
     """A_n via periodic row prefixes; n is capped (default 13) because the
     written-out table has 4**n entries."""
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    if n > max_n:
+    count(n, 0, "n")
+    if n > count(max_n, 0, "max_n"):
         raise ResourceError(f"n = {n} exceeds the size bound {max_n}")
     N = 1 << n
     prefixes: list = [None] * N
@@ -139,16 +137,13 @@ def period(table: LaverTable, p: int) -> int:
 
 def project(n: int, x: int) -> int:
     """The projection A_n -> A_(n-1): x mod 2**(n-1), with 0 sent to 2**(n-1)."""
-    if n < 1:
-        raise DomainError(f"projection needs n >= 1, got {n}")
-    half = 1 << (n - 1)
+    half = 1 << (count(n, 1, "n") - 1)
     return (element(x, 1 << n) - 1) % half + 1
 
 
 def period_doubling_check(n: int, max_n: int = DEFAULT_MAX_N) -> bool:
     """Every period either survives or doubles under the projection A_n -> A_(n-1)."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    count(n, 1, "n")
     big = build_laver_table(n, max_n)
     small = build_laver_table(n - 1, max_n)
     for p in range(1, big.size + 1):
@@ -160,8 +155,7 @@ def period_doubling_check(n: int, max_n: int = DEFAULT_MAX_N) -> bool:
 
 def left_powers(table, x: int, k: int) -> list:
     """[x, x*x, (x*x)*x, ...]: k left powers of x."""
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    count(k, 1, "k")
     table.op(x, x)  # rejects an x outside the table, also when k == 1
     seq = [x]
     for _ in range(k - 1):

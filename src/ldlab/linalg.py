@@ -17,7 +17,7 @@ over Q.  `lattice_solve` reduces column by column to an integer echelon form.
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, _is_int, count
 
 
 def _reduce(weights: Dict[int, int], row_op: Callable[[int, int, int], None]) -> Optional[int]:
@@ -42,15 +42,29 @@ def _reduce(weights: Dict[int, int], row_op: Callable[[int, int, int], None]) ->
     return next(iter(weights), None)
 
 
+def _coefficient(c) -> int:
+    """c itself when it is an int, else DomainError."""
+    if type(c) is int or _is_int(c):
+        return c
+    raise DomainError(f"coefficient {c!r} is not an integer")
+
+
 def _constraint_items(con, dim: int):
+    """The (index, coefficient) pairs of a constraint with a nonzero
+    coefficient, read in one pass that checks every index and coefficient."""
     if isinstance(con, dict):
-        for j in con:
-            if not 0 <= j < dim:
-                raise DomainError(f"constraint index {j} out of range 0..{dim - 1}")
-        return [(j, c) for j, c in con.items() if c]
-    if len(con) != dim:
+        items = con.items()
+    elif len(con) != dim:
         raise DomainError(f"constraint has length {len(con)}, expected {dim}")
-    return [(j, c) for j, c in enumerate(con) if c]
+    else:
+        items = enumerate(con)
+    out = []
+    for j, c in items:
+        if not ((type(j) is int or _is_int(j)) and 0 <= j < dim):
+            raise DomainError(f"constraint index {j!r} out of range 0..{dim - 1}")
+        if _coefficient(c):
+            out.append((j, c))
+    return out
 
 
 def kernel_basis(constraints: Iterable, dim: int) -> List[Tuple[int, ...]]:
@@ -63,8 +77,7 @@ def kernel_basis(constraints: Iterable, dim: int) -> List[Tuple[int, ...]]:
     on the weight of smallest absolute value, lowest slot on ties, and an
     emptied slot keeps the order of the others.
     """
-    if dim < 0:
-        raise DomainError(f"dimension must be >= 0, got {dim}")
+    count(dim, 0, "dimension")
     rows: List[Optional[Dict[int, int]]] = [{i: 1} for i in range(dim)]
     cols = [{i} for i in range(dim)]
 
@@ -99,11 +112,12 @@ def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Optio
     None means the target is not in the integer row span (it may still be
     in the rational span).
     """
-    rows = [list(r) for r in rows]
+    rows = [[_coefficient(c) for c in r] for r in rows]
+    t = [_coefficient(c) for c in target]
     if not rows:
-        return [] if not any(target) else None
+        return [] if not any(t) else None
     dim = len(rows[0])
-    if any(len(r) != dim for r in rows) or len(target) != dim:
+    if any(len(r) != dim for r in rows) or len(t) != dim:
         raise DomainError("row/target length mismatch")
     k = len(rows)
     # track[i] holds rows[i] as a combination of the original rows
@@ -124,7 +138,6 @@ def lattice_solve(rows: Sequence[Sequence[int]], target: Sequence[int]) -> Optio
         track[r], track[i0] = track[i0], track[r]
         pivots.append((r, col))
         r += 1
-    t = list(target)
     coeffs = [0] * k
     for ri, col in pivots:
         if t[col] == 0:

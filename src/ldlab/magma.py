@@ -11,7 +11,7 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .errors import AmbiguousInverseError, DomainError, element
+from .errors import AmbiguousInverseError, DomainError, _is_int, count, element
 
 
 class LawCheck(NamedTuple):
@@ -29,8 +29,7 @@ class FiniteMagma:
     label: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"carrier size must be >= 1, got {self.m}")
+        count(self.m, 1, "carrier size")
         if len(self.op) != self.m or any(len(row) != self.m for row in self.op):
             raise DomainError(f"operation table must be {self.m}x{self.m}")
         for row in self.op:
@@ -113,17 +112,15 @@ def left_inverse_op(M: FiniteMagma, a: int, b: int) -> Optional[int]:
 
 def dihedral_quandle(k: int) -> FiniteMagma:
     """a*b = 2a - b mod k on {1, ..., k}."""
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    count(k, 1, "k")
     rows = tuple(tuple((2 * a - b - 1) % k + 1 for b in range(1, k + 1)) for a in range(1, k + 1))
     return FiniteMagma(k, rows, label=f"dihedral:{k}")
 
 
 def affine_quandle(m: int, t: int) -> FiniteMagma:
     """a*b = (1-t)a + tb mod m; t must be a unit mod m."""
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    if gcd(t % m, m) != 1:
+    count(m, 1, "m")
+    if not _is_int(t) or gcd(t % m, m) != 1:
         raise DomainError(f"t = {t} is not invertible mod {m}")
     rows = tuple(tuple(((1 - t) * a + t * b - 1) % m + 1 for b in range(1, m + 1))
                  for a in range(1, m + 1))
@@ -228,8 +225,7 @@ class QuandleTerm:
 
     def __post_init__(self):
         if self.kind == "gen":
-            if self.gen < 1:
-                raise DomainError(f"generator index must be >= 1, got {self.gen}")
+            count(self.gen, 1, "generator index")
         elif self.kind in ("op", "bar"):
             if self.left is None or self.right is None:
                 raise DomainError(f"{self.kind} term needs two children")

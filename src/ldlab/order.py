@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import braid as br
-from .errors import DomainError
+from .errors import DomainError, count
 
 
 # ---------------------------------------------------------------------------
@@ -23,10 +23,11 @@ from .errors import DomainError
 def sigma_positive_index(w: br.BraidWord) -> Optional[int]:
     """The i making w sigma_i-positive: sigma_i occurs, sigma_i^{-1} and all
     lower-index letters do not.  Purely syntactic."""
-    if not w.letters:
+    letters = br._word(w).letters
+    if not letters:
         return None
-    m = min(abs(l) for l in w.letters)
-    if m in w.letters and -m not in w.letters:
+    m = min(abs(l) for l in letters)
+    if m in letters and -m not in letters:
         return m
     return None
 
@@ -43,11 +44,12 @@ class SplittingSeq:
     entries: Tuple[br.Braid, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise DomainError(f"splittings need n >= 3, got {self.n}")
+        count(self.n, 3, "strand count")
         if not self.entries:
             raise DomainError("a splitting has at least one entry")
         for e in self.entries:
+            if not isinstance(e, br.Braid):
+                raise DomainError(f"splitting entries are Braids, got {type(e).__name__}")
             if e.n != self.n - 1:
                 raise DomainError(f"entry on {e.n} strands in a {self.n}-strand splitting")
             if e.inf < 0:
@@ -69,31 +71,35 @@ class SplittingSeq:
         return out
 
 
-def _split_step(r: br.Braid, n: int) -> Tuple[br.Braid, Optional[br.Braid]]:
-    """For r the reversal of a positive braid b of B_n: the entry stripped
-    off the right of b, and the reversal of the flipped remainder that the
-    splitting continues on (None when empty).
+def _split_step(r: br.Braid, n: int) -> Tuple[List[br.Perm], Optional[br.Braid]]:
+    """For r the reversal of a positive braid b of B_n: the simples peeled
+    off r, and the reversal of the flipped remainder that the splitting
+    continues on (None when empty).
 
-    The peeled simples fix strand n: the entry is their inverses in reverse
-    order less their last entry, normalised once, on n - 1 strands.
+    The peeled simples fix strand n.  Less their last entry, on n - 1
+    strands, their inverses in reverse order make the entry stripped off
+    the right of b, and the simples as they come make its reversal.
     """
     peeled, rest = br._peel_parabolic(r, n - 1)
-    d, fs = br._normalize(n - 1, [br.perm_inv(s)[:-1] for s in reversed(peeled)])
-    return br._nf(n - 1, d, fs), None if rest.is_trivial else br.flip(rest)
+    return peeled, None if rest.is_trivial else br.flip(rest)
+
+
+def _entries(b: br.Braid, n: int) -> Tuple[br.Braid, ...]:
+    """The splitting entries of a positive braid b of B_n, n >= 3, leading
+    entry first."""
+    r: Optional[br.Braid] = br._rev(b)
+    entries: List[br.Braid] = []
+    while r is not None:
+        peeled, r = _split_step(r, n)
+        entries.append(br._product(n - 1, [br.perm_inv(s)[:-1] for s in reversed(peeled)]))
+    return tuple(reversed(entries))
 
 
 def splitting(beta, n: int) -> SplittingSeq:
     """Strip maximal parabolic right-divisors, flipping the remainder."""
-    if n < 3:
-        raise DomainError(f"splittings need n >= 3, got {n}")
-    r = br._rev(br.embed(br._lift(beta), n))
-    if r.inf < 0:
-        raise DomainError("splitting needs a positive braid")
-    entries: List[br.Braid] = []
-    while r is not None:
-        entry, r = _split_step(r, n)
-        entries.append(entry)
-    return SplittingSeq(n, tuple(reversed(entries)))
+    count(n, 3, "strand count")
+    b = br._positive(beta, "splitting needs a positive braid")
+    return SplittingSeq(n, _entries(br.embed(b, n), n))
 
 
 def is_normal(seq: SplittingSeq) -> bool:
@@ -116,36 +122,32 @@ def is_normal(seq: SplittingSeq) -> bool:
 # ---------------------------------------------------------------------------
 # order comparisons
 
-def _flipped_keys(n: int, of_reversals: bool = False) -> Callable[[br.Braid], Any]:
-    """`flipped_key` on positive braids of B_n, as a function that keeps
-    one memo over all its calls.
+def _flipped_keys(n: int) -> Callable[[br.Braid], Any]:
+    """`flipped_key` on positive braids of B_n, as a function that takes
+    the reversal rev(b) of a braid b, returns b's key and keeps one memo
+    over all its calls.
 
-    The memo is keyed by reversals: it maps the reversal of every braid
-    met to the keys of its splitting entries, and each braid is reversed
-    once on the way in.  As splitting(b) = splitting(flip(rest)) +
-    (entry,) and reversal is a bijection, braids sharing a remainder, such
-    as the members of one conjugacy class, split it once.  One sub-keyer,
-    with its own memo, keys the entries on n - 1 strands.  With
-    of_reversals the function takes rev(b) in place of b and returns b's
-    key, so a caller holding reversals reverses nothing.
+    The memo maps the reversal of every braid met to the keys of its
+    splitting entries.  As splitting(b) = splitting(flip(rest)) + (entry,)
+    and reversal is a bijection, braids sharing a remainder, such as the
+    members of one conjugacy class, split it once.  One sub-keyer, with
+    its own memo, keys the entries on n - 1 strands, each given as its
+    reversal, so no level reverses anything.
     """
-    if n < 3:
-        if n == 2:
-            return br.braid_length   # rev keeps the length
-        raise DomainError(f"splittings need n >= 3, got {n}")
+    if count(n, 2, "strand count") == 2:
+        return br.braid_length   # rev keeps the length
     sub = _flipped_keys(n - 1)
     memo: Dict[br.Braid, Tuple[Any, ...]] = {}
 
-    def key(b: br.Braid):
+    def key(r: br.Braid):
         chain = []
         keys: Tuple[Any, ...] = ()
-        r = b if of_reversals else br._rev(b)
         while r is not None:
             if r in memo:
                 keys = memo[r]
                 break
-            entry, rest = _split_step(r, n)
-            chain.append((r, sub(entry)))
+            peeled, rest = _split_step(r, n)
+            chain.append((r, sub(br._product(n - 1, [s[:-1] for s in peeled]))))
             r = rest
         for c, k in reversed(chain):
             keys += (k,)
@@ -164,10 +166,9 @@ def flipped_key(beta, n: int):
     "Alternating normal forms for braids and locally Garside monoids",
     JPAA 212, 2008): so the key is (p, entry keys), and length at n = 2.
     """
-    b = br._lift(beta)
-    if b.inf < 0:
-        raise DomainError("the flipped order needs positive braids")
-    return _flipped_keys(n)(br.embed(b, n))
+    key = _flipped_keys(n)
+    b = br.embed(br._positive(beta, "the flipped order needs positive braids"), n)
+    return key(b if n == 2 else br._rev(b))
 
 
 def compare_flipped(beta, beta2, n: int) -> str:
@@ -177,13 +178,11 @@ def compare_flipped(beta, beta2, n: int) -> str:
 
 
 def compare_D(u: br.BraidWord, v: br.BraidWord, n: int) -> str:
-    """Compare arbitrary braid words in the D-order; returns <, =, or >."""
-    if u.n != n or v.n != n:
-        raise DomainError("word strand counts must match n")
-    k = max(sum(1 for l in u.letters if l < 0),
-            sum(1 for l in v.letters if l < 0))
-    bu = br.mul(br.delta(n, 2 * k), br.from_word(u))
-    bv = br.mul(br.delta(n, 2 * k), br.from_word(v))
+    """Compare arbitrary braid words on n strands, each a BraidWord or a
+    sequence of letters, in the D-order; returns <, =, or >."""
+    words = [br.BraidWord(n, w) for w in (u, v)]
+    k = max(sum(1 for l in w.letters if l < 0) for w in words)
+    bu, bv = (br.mul(br.delta(n, 2 * k), br.from_word(w)) for w in words)
     if bu.inf < 0 or bv.inf < 0:
         raise RuntimeError("central shift failed to reach the positive monoid")
     if n == 2:
@@ -203,8 +202,8 @@ class OrdinalCNF:
     def __post_init__(self) -> None:
         last = None
         for k, c in self.terms:
-            if k < 0 or c <= 0:
-                raise DomainError(f"bad CNF term omega^{k}*{c}")
+            count(k, 0, "CNF exponent")
+            count(c, 1, "CNF coefficient")
             if last is not None and k >= last:
                 raise DomainError("CNF exponents must strictly decrease")
             last = k
@@ -218,9 +217,7 @@ ORDINAL_ZERO = OrdinalCNF()
 
 
 def ordinal_from_int(c: int) -> OrdinalCNF:
-    if c < 0:
-        raise DomainError("ordinals are non-negative")
-    return OrdinalCNF(((0, c),) if c else ())
+    return OrdinalCNF(((0, c),) if count(c, 0, "ordinal") else ())
 
 
 def ordinal_add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
@@ -275,11 +272,7 @@ class Bp3NormalForm:
     def __post_init__(self) -> None:
         p = len(self.exponents)
         for idx, e in enumerate(self.exponents):
-            r = p - idx
-            if r == p and e < 1 and p >= 1:
-                raise DomainError("leading exponent must be >= 1")
-            if r < p and e < _epsilon(r):
-                raise DomainError(f"exponent e_{r} = {e} below minimum {_epsilon(r)}")
+            count(e, _epsilon(p - idx) if idx else 1, "exponent")
 
     @property
     def p(self) -> int:
@@ -295,13 +288,10 @@ class Bp3NormalForm:
 
 
 def bp3_normal_exponents(beta) -> Bp3NormalForm:
-    b = br._lift(beta)
-    if b.inf < 0:
-        raise DomainError("normal exponents need a positive braid")
+    b = br._positive(beta, "normal exponents need a positive braid")
     if b.is_trivial:
         return Bp3NormalForm(())
-    seq = splitting(b, 3)
-    return Bp3NormalForm(tuple(br.braid_length(e) for e in seq.entries))
+    return Bp3NormalForm(tuple(br.braid_length(e) for e in _entries(br.embed(b, 3), 3)))
 
 
 def rank_bp3(beta) -> OrdinalCNF:
@@ -316,29 +306,31 @@ def rank_bp3(beta) -> OrdinalCNF:
 
 def alternating_normal_form(beta, n: int) -> br.BraidWord:
     """The fully expanded word of shifted sigma_1-blocks."""
-    b = br._lift(beta)
-    if b.inf < 0:
-        raise DomainError("normal form needs a positive braid")
-    b = b if b.n == n else br.embed(b, n)
+    b = br.embed(br._positive(beta, "normal form needs a positive braid"), n)
+    return br.BraidWord(n, _alternating_letters(b, n))
+
+
+def _alternating_letters(b: br.Braid, n: int) -> Tuple[int, ...]:
     if n == 2:
-        return br.BraidWord(2, (1,) * br.braid_length(b))
-    seq = splitting(b, n)
+        return (1,) * br.braid_length(b)
+    entries = _entries(b, n)
     letters: List[int] = []
-    p = seq.p
-    for k, e in enumerate(seq.entries):
-        sub = alternating_normal_form(e, n - 1)
+    p = len(entries)
+    for k, e in enumerate(entries):
+        sub = _alternating_letters(e, n - 1)
         if (p - 1 - k) % 2:
-            letters.extend(n - l for l in sub.letters)
+            letters.extend(n - l for l in sub)
         else:
-            letters.extend(sub.letters)
-    return br.BraidWord(n, tuple(letters))
+            letters.extend(sub)
+    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
 # the D-floor
 
 def d_floor(w: br.BraidWord, n: int) -> int:
-    """Largest k with Delta^{2k} <=_D w."""
+    """Largest k with Delta^{2k} <=_D w, for a word w on n strands."""
+    w = br.BraidWord(n, w)
 
     def delta_pow_word(k: int) -> br.BraidWord:
         dw = br.delta_word(n)

@@ -9,7 +9,7 @@ property, never a precondition.
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import DomainError, element
+from .errors import DomainError, count, element
 from .magma import FiniteMagma, LawCheck
 
 
@@ -19,8 +19,7 @@ class SetSolution:
     pairs: tuple  # flat, index (a-1)*m + (b-1) holds rho(a, b)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"carrier size must be >= 1, got {self.m}")
+        count(self.m, 1, "carrier size")
         if len(self.pairs) != self.m * self.m:
             raise DomainError(f"pair map must have {self.m * self.m} entries, got {len(self.pairs)}")
         for entry in self.pairs:
@@ -70,17 +69,20 @@ def solution_ops(rho: SetSolution) -> Tuple[FiniteMagma, FiniteMagma]:
 
 def switch_solution(m: int) -> SetSolution:
     """rho(a, b) = (b, a)."""
+    count(m, 1, "carrier size")
     pairs = tuple((b, a) for a in range(1, m + 1) for b in range(1, m + 1))
     return SetSolution(m, pairs)
 
 
 def identity_solution(m: int) -> SetSolution:
+    count(m, 1, "carrier size")
     pairs = tuple((a, b) for a in range(1, m + 1) for b in range(1, m + 1))
     return SetSolution(m, pairs)
 
 
 def first_projection(m: int) -> FiniteMagma:
     """The trivial operation a op b = a."""
+    count(m, 1, "carrier size")
     rows = tuple(tuple(a for _ in range(m)) for a in range(1, m + 1))
     return FiniteMagma(m, rows, label="proj1")
 

@@ -368,10 +368,15 @@ def test_parse_rack_spec_rejects():
             magma.parse_rack_spec(bad)
 
 
-# a constructor's DomainError is a ValueError too; it must keep its message
-CONSTRUCTOR_ERRORS = [("affine:6:2", "t = 2 is not invertible mod 6"),
-                      ("dihedral:0", "need k >= 1, got 0"),
-                      ("laver:-1", "need n >= 0, got -1")]
+# a constructor's DomainError is a ValueError too; it must keep its message.
+# Each id names the spec and the bound it breaks.
+CONSTRUCTOR_ERRORS = [
+    pytest.param("affine:6:2", "t = 2 is not invertible mod 6",
+                 id="affine:6:2-t = 2 is not invertible mod 6"),
+    pytest.param("dihedral:0", "k must be an integer >= 1, got 0",
+                 id="dihedral:0-need k >= 1, got 0"),
+    pytest.param("laver:-1", "n must be an integer >= 0, got -1",
+                 id="laver:-1-need n >= 0, got -1")]
 
 
 @pytest.mark.parametrize("spec, message", CONSTRUCTOR_ERRORS)

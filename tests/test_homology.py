@@ -463,7 +463,7 @@ def test_cochain_rejects_bad_carrier_and_degree():
 def test_cocycle_space_and_preimage_reject_bad_degrees():
     with pytest.raises(DomainError):
         homology.cocycle_space(A2, -1)
-    with pytest.raises(DomainError, match="degree must be >= 0, got -1"):
+    with pytest.raises(DomainError, match="cochain degree must be an integer >= 0, got -1"):
         homology.cochain_from_function(magma.dihedral_quandle(3), -1, lambda: 0)
     with pytest.raises(DomainError):
         homology.coboundary_preimage(magma.dihedral_quandle(3), homology.Cochain(3, 0, (1,)))
